@@ -16,12 +16,9 @@ use crate::greedy::{
 };
 use crate::measure::{Closeness, GroupMeasure, Harmonic};
 use nsky_graph::Graph;
-use nsky_skyline::budget::ExecutionBudget;
 use nsky_skyline::exec::{self, ExecutionContext};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
-use nsky_skyline::{filter_refine_sky_budgeted, RefineConfig};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
+use nsky_skyline::{filter_refine_sky_with, RefineConfig};
 
 /// Result of a skyline-pruned maximization, with the skyline size the
 /// evaluation-count formula `k(2r − k + 1)/2` depends on.
@@ -78,7 +75,14 @@ pub fn nei_sky_group_with<M: GroupMeasure>(
                 state = NeiSkyGroupState(GreedyState::fresh());
             }
             rec.phase_start("skyline");
-            let sky = filter_refine_sky_budgeted(g, &RefineConfig::default(), budget);
+            // Budget only: the caller's recorder and sink stay with
+            // this kernel, not the nested skyline run.
+            let sky = filter_refine_sky_with(
+                g,
+                &RefineConfig::default(),
+                &mut ExecutionContext::new().budget(budget),
+            )
+            .outcome;
             rec.phase_end("skyline");
             let skyline_size = sky.skyline.len();
             let opts = GreedyOptions {
@@ -110,44 +114,6 @@ pub fn nei_sky_group_with<M: GroupMeasure>(
     run
 }
 
-/// Deprecated twin: use [`nei_sky_group_with`] with a recorder-armed
-/// context.
-pub fn nei_sky_group_recorded<M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    lazy: bool,
-    rec: &dyn nsky_skyline::obs::Recorder,
-) -> NeiSkyOutcome {
-    nei_sky_group_with(
-        g,
-        measure,
-        k,
-        lazy,
-        &mut ExecutionContext::new().recorder(rec),
-    )
-    .outcome
-}
-
-/// Deprecated twin: use [`nei_sky_group_with`] with a budget-armed
-/// context.
-pub fn nei_sky_group_budgeted<M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    lazy: bool,
-    budget: &ExecutionBudget,
-) -> NeiSkyOutcome {
-    nei_sky_group_with(
-        g,
-        measure,
-        k,
-        lazy,
-        &mut ExecutionContext::new().budget(budget),
-    )
-    .outcome
-}
-
 /// Resume state of an interrupted skyline-restricted greedy run: the
 /// embedded [`GreedyState`] under its own kernel id. The distinct id
 /// matters because the seeding cursor indexes the candidate *pool* —
@@ -170,30 +136,6 @@ impl KernelState for NeiSkyGroupState {
         r.expect_version(Self::FORMAT_VERSION)?;
         Ok(NeiSkyGroupState(GreedyState::decode_fields(r)?))
     }
-}
-
-/// Deprecated twin: use [`nei_sky_group_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract).
-pub fn nei_sky_group_resumable<'a, M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    lazy: bool,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<NeiSkyOutcome> {
-    nei_sky_group_with(
-        g,
-        measure,
-        k,
-        lazy,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 /// `NeiSkyGC` (paper Algorithm 4): group closeness maximization over the

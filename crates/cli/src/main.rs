@@ -173,6 +173,8 @@ EXIT CODES:
 mod tests {
     use super::run;
     use nsky_skyline::Completion;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -192,8 +194,21 @@ mod tests {
         run(&s(v)).unwrap_err().to_string()
     }
 
+    /// A temp-file path private to one call: the pid keeps concurrent
+    /// test processes apart, the test name and a per-process counter
+    /// keep parallel test threads (and repeated calls) apart, so no
+    /// test's cleanup can race another test's read.
+    fn temp_path(name: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let thread = std::thread::current();
+        let test = thread.name().unwrap_or("main").replace("::", "-");
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("nsky-{pid}-{test}-{n}-{name}"))
+    }
+
     fn write_karate() -> String {
-        let path = std::env::temp_dir().join(format!("nsky-test-{}.txt", std::process::id()));
+        let path = temp_path("karate.txt");
         let g = nsky_datasets::karate();
         let mut buf = Vec::new();
         nsky_graph::io::write_edge_list(&g, &mut buf).unwrap();
@@ -361,7 +376,7 @@ mod tests {
     #[test]
     fn checkpoint_trip_resume_round_trip() {
         let path = write_karate();
-        let ck = std::env::temp_dir().join(format!("nsky-ck-{}.snap", std::process::id()));
+        let ck = temp_path("ck.snap");
         let ck = ck.to_str().unwrap().to_string();
         // Trip mid-run with a checkpoint: the final state lands on disk.
         let out = run(&s(&[
@@ -391,10 +406,8 @@ mod tests {
     #[test]
     fn unusable_checkpoints_degrade_to_fresh_runs() {
         let path = write_karate();
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
         // Missing file.
-        let ck = dir.join(format!("nsky-ck-missing-{pid}.snap"));
+        let ck = temp_path("ck-missing.snap");
         let ck_s = ck.to_str().unwrap().to_string();
         let out = run(&s(&["skyline", &path, "--checkpoint", &ck_s, "--resume"])).unwrap();
         assert!(out.degraded, "{}", out.text);
@@ -402,7 +415,7 @@ mod tests {
         assert!(out.text.contains("|R| = 15"), "{}", out.text);
         assert!(!out.warnings.is_empty());
         // Corrupt file.
-        let ck = dir.join(format!("nsky-ck-corrupt-{pid}.snap"));
+        let ck = temp_path("ck-corrupt.snap");
         std::fs::write(&ck, b"definitely not a snapshot").unwrap();
         let ck_s = ck.to_str().unwrap().to_string();
         let out = run(&s(&["skyline", &path, "--checkpoint", &ck_s, "--resume"])).unwrap();
@@ -410,7 +423,7 @@ mod tests {
         assert!(out.text.contains("|R| = 15"), "{}", out.text);
         // Wrong kernel: a skyline checkpoint offered to the clique
         // solver (rejected by the resume driver, not the loader).
-        let ck = dir.join(format!("nsky-ck-kernel-{pid}.snap"));
+        let ck = temp_path("ck-kernel.snap");
         let ck_s = ck.to_str().unwrap().to_string();
         let out = run(&s(&[
             "skyline",
@@ -498,7 +511,7 @@ mod tests {
     fn metrics_report_round_trips_through_the_std_only_decoder() {
         use nsky_skyline::obs::{RunReport, SCHEMA_VERSION};
         let path = write_karate();
-        let m = std::env::temp_dir().join(format!("nsky-metrics-{}.json", std::process::id()));
+        let m = temp_path("metrics.json");
         let m = m.to_str().unwrap().to_string();
         let fingerprint = nsky_datasets::karate().fingerprint();
 
@@ -561,10 +574,9 @@ mod tests {
     fn metrics_report_records_budget_and_checkpoint_events() {
         use nsky_skyline::obs::RunReport;
         let path = write_karate();
-        let pid = std::process::id();
-        let m = std::env::temp_dir().join(format!("nsky-metrics-trip-{pid}.json"));
+        let m = temp_path("metrics-trip.json");
         let m = m.to_str().unwrap().to_string();
-        let ck = std::env::temp_dir().join(format!("nsky-metrics-ck-{pid}.snap"));
+        let ck = temp_path("metrics-ck.snap");
         let ck = ck.to_str().unwrap().to_string();
         let out = run(&s(&[
             "skyline",
@@ -631,8 +643,7 @@ mod tests {
     }
 
     fn write_deltas(lines: &str, tag: &str) -> String {
-        let path =
-            std::env::temp_dir().join(format!("nsky-deltas-{tag}-{}.txt", std::process::id()));
+        let path = temp_path(&format!("deltas-{tag}.txt"));
         std::fs::write(&path, lines).unwrap();
         path.to_string_lossy().into_owned()
     }
@@ -680,7 +691,7 @@ mod tests {
             .map(|i| format!("- {} {}\n", i % 10, 10 + (i * 3) % 24))
             .collect();
         let dpath = write_deltas(&body, "trip");
-        let ck = std::env::temp_dir().join(format!("nsky-up-ck-{}.snap", std::process::id()));
+        let ck = temp_path("up-ck.snap");
         let ck = ck.to_str().unwrap().to_string();
         let out = run(&s(&[
             "update",
@@ -737,7 +748,7 @@ mod tests {
         use nsky_skyline::obs::RunReport;
         let path = write_karate();
         let dpath = write_deltas("+ 4 33\n- 0 1\n- 0 1\n", "metrics");
-        let m = std::env::temp_dir().join(format!("nsky-up-m-{}.json", std::process::id()));
+        let m = temp_path("up-m.json");
         let m = m.to_str().unwrap().to_string();
         let out = ok(&["update", &path, &dpath, "--metrics", &m]);
         assert!(out.contains(&format!("metrics = {m}")), "{out}");

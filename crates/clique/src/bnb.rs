@@ -4,9 +4,7 @@ use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{BudgetTicker, Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
 use nsky_skyline::obs::{Counter, Recorder};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 
 /// Search counters, printed by the harness to show *why* the skyline
 /// pruning wins (fewer root branches).
@@ -213,18 +211,6 @@ pub fn max_clique_bnb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> Resumab
     run
 }
 
-/// Deprecated twin: use [`max_clique_bnb_with`] with a recorder-armed
-/// context.
-pub fn max_clique_bnb_recorded(g: &Graph, rec: &dyn Recorder) -> CliqueRun {
-    max_clique_bnb_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`max_clique_bnb_with`] with a budget-armed
-/// context.
-pub fn max_clique_bnb_budgeted(g: &Graph, budget: &ExecutionBudget) -> CliqueRun {
-    max_clique_bnb_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`max_clique_bnb`] run: the best
 /// clique found before the trip. Resuming restarts the (deterministic)
 /// search with the saved clique as the incumbent; the coloring bound is
@@ -258,24 +244,6 @@ pub(crate) fn valid_clique(g: &Graph, c: &[VertexId]) -> bool {
     c.iter().all(|&v| (v as usize) < g.num_vertices())
         && c.windows(2).all(|w| w[0] < w[1])
         && crate::is_clique(g, c)
-}
-
-/// Deprecated twin: use [`max_clique_bnb_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract).
-pub fn max_clique_bnb_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<CliqueRun> {
-    max_clique_bnb_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn bnb_leg(g: &Graph, budget: &ExecutionBudget, state: BnbState) -> (CliqueRun, BnbState) {
@@ -327,29 +295,13 @@ fn bnb_leg(g: &Graph, budget: &ExecutionBudget, state: BnbState) -> (CliqueRun, 
 
 /// Largest clique **containing** `seed` that strictly beats
 /// `lower_bound`, searched within `seed`'s ego network restricted to
-/// `allowed` (pass `None` for no restriction).
+/// `allowed` (pass `None` for no restriction), driven by a caller-owned
+/// [`BudgetTicker`] (pass [`BudgetTicker::inert`] for an unbounded
+/// search).
 ///
 /// Returns `None` when no containing clique exceeds `lower_bound`
 /// (passing `lower_bound = 0` therefore always yields the exact
 /// maximum-containing clique, since `{seed}` itself has size 1).
-pub fn max_clique_containing(
-    g: &Graph,
-    seed: VertexId,
-    allowed: Option<&[bool]>,
-    lower_bound: usize,
-    stats: &mut CliqueStats,
-) -> Option<Vec<VertexId>> {
-    max_clique_containing_budgeted(
-        g,
-        seed,
-        allowed,
-        lower_bound,
-        stats,
-        &mut BudgetTicker::inert(),
-    )
-}
-
-/// [`max_clique_containing`] driven by a caller-owned [`BudgetTicker`].
 /// When the ticker trips mid-search the best containing clique found so
 /// far (if it beats `lower_bound`) is returned; inspect
 /// [`BudgetTicker::status`] to distinguish an exhausted search from a
@@ -460,8 +412,15 @@ mod tests {
             let g = erdos_renyi(25, 0.35, seed);
             let mut stats = CliqueStats::default();
             for u in g.vertices() {
-                let c = max_clique_containing(&g, u, None, 0, &mut stats)
-                    .expect("lower_bound 0 always yields a clique");
+                let c = max_clique_containing_budgeted(
+                    &g,
+                    u,
+                    None,
+                    0,
+                    &mut stats,
+                    &mut BudgetTicker::inert(),
+                )
+                .expect("lower_bound 0 always yields a clique");
                 assert!(c.contains(&u));
                 assert!(is_clique(&g, &c));
                 // Oracle: max clique of the ego subgraph, plus u itself.
@@ -478,7 +437,15 @@ mod tests {
         let mut allowed = vec![true; 5];
         allowed[4] = false;
         let mut stats = CliqueStats::default();
-        let c = max_clique_containing(&g, 0, Some(&allowed), 0, &mut stats).unwrap();
+        let c = max_clique_containing_budgeted(
+            &g,
+            0,
+            Some(&allowed),
+            0,
+            &mut stats,
+            &mut BudgetTicker::inert(),
+        )
+        .unwrap();
         assert_eq!(c, vec![0, 1, 2, 3]);
     }
 
@@ -487,9 +454,19 @@ mod tests {
         let g = path(4);
         let mut stats = CliqueStats::default();
         // Max clique containing 0 has size 2; floor 3 cannot be beaten.
-        assert!(max_clique_containing(&g, 0, None, 3, &mut stats).is_none());
+        assert!(max_clique_containing_budgeted(
+            &g,
+            0,
+            None,
+            3,
+            &mut stats,
+            &mut BudgetTicker::inert()
+        )
+        .is_none());
         // Floor 1 is beaten by the edge {0, 1}.
-        let c = max_clique_containing(&g, 0, None, 1, &mut stats).unwrap();
+        let c =
+            max_clique_containing_budgeted(&g, 0, None, 1, &mut stats, &mut BudgetTicker::inert())
+                .unwrap();
         assert_eq!(c, vec![0, 1]);
     }
 
@@ -497,8 +474,18 @@ mod tests {
     fn isolated_seed() {
         let g = Graph::from_edges(3, [(0, 1)]);
         let mut stats = CliqueStats::default();
-        let c = max_clique_containing(&g, 2, None, 0, &mut stats).unwrap();
+        let c =
+            max_clique_containing_budgeted(&g, 2, None, 0, &mut stats, &mut BudgetTicker::inert())
+                .unwrap();
         assert_eq!(c, vec![2]);
-        assert!(max_clique_containing(&g, 2, None, 1, &mut stats).is_none());
+        assert!(max_clique_containing_budgeted(
+            &g,
+            2,
+            None,
+            1,
+            &mut stats,
+            &mut BudgetTicker::inert()
+        )
+        .is_none());
     }
 }

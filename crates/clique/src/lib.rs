@@ -29,19 +29,12 @@ pub mod neisky;
 pub mod topk;
 
 pub use bnb::{
-    max_clique_bnb, max_clique_bnb_budgeted, max_clique_bnb_recorded, max_clique_bnb_resumable,
-    max_clique_bnb_with, max_clique_containing, max_clique_containing_budgeted, CliqueRun,
-    CliqueStats,
+    max_clique_bnb, max_clique_bnb_with, max_clique_containing_budgeted, CliqueRun, CliqueStats,
 };
 pub use heuristic::heuristic_clique;
-pub use mcbrb::{mc_brb, mc_brb_budgeted, mc_brb_recorded, mc_brb_resumable, mc_brb_with};
-pub use neisky::{
-    nei_sky_mc, nei_sky_mc_budgeted, nei_sky_mc_recorded, nei_sky_mc_resumable, nei_sky_mc_with,
-};
-pub use topk::{
-    top_k_cliques, top_k_cliques_budgeted, top_k_cliques_recorded, top_k_cliques_resumable,
-    top_k_cliques_with, TopkMode, TopkOutcome,
-};
+pub use mcbrb::{mc_brb, mc_brb_with};
+pub use neisky::{nei_sky_mc, nei_sky_mc_with};
+pub use topk::{top_k_cliques, top_k_cliques_with, TopkMode, TopkOutcome};
 
 use nsky_graph::{Graph, VertexId};
 

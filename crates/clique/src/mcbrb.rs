@@ -16,9 +16,7 @@ use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 
 /// Exact maximum clique (the paper's `MC-BRB` comparison point).
 ///
@@ -67,16 +65,6 @@ pub fn mc_brb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<Cl
     run
 }
 
-/// Deprecated twin: use [`mc_brb_with`] with a recorder-armed context.
-pub fn mc_brb_recorded(g: &Graph, rec: &dyn nsky_skyline::obs::Recorder) -> CliqueRun {
-    mc_brb_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`mc_brb_with`] with a budget-armed context.
-pub fn mc_brb_budgeted(g: &Graph, budget: &ExecutionBudget) -> CliqueRun {
-    mc_brb_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`mc_brb`] run: the best clique found
 /// so far plus the index (into the degeneracy order) of the next root to
 /// search. The `later` exclusion mask is a pure function of the cursor
@@ -114,24 +102,6 @@ impl KernelState for McBrbState {
             cursor: r.take_usize()?,
         })
     }
-}
-
-/// Deprecated twin: use [`mc_brb_with`] with a context arming budget,
-/// resume and checkpoint sink together (see `nsky_skyline::snapshot`
-/// for the contract).
-pub fn mc_brb_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<CliqueRun> {
-    mc_brb_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn mcbrb_leg(g: &Graph, budget: &ExecutionBudget, state: McBrbState) -> (CliqueRun, McBrbState) {

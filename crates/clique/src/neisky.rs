@@ -15,10 +15,8 @@ use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
-use nsky_skyline::{filter_refine_sky_budgeted, RefineConfig};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
+use nsky_skyline::{filter_refine_sky_with, RefineConfig};
 
 /// Outcome of [`nei_sky_mc`].
 #[derive(Clone, Debug)]
@@ -90,18 +88,6 @@ pub fn nei_sky_mc_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRu
     run
 }
 
-/// Deprecated twin: use [`nei_sky_mc_with`] with a recorder-armed
-/// context.
-pub fn nei_sky_mc_recorded(g: &Graph, rec: &dyn nsky_skyline::obs::Recorder) -> NeiSkyMcOutcome {
-    nei_sky_mc_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`nei_sky_mc_with`] with a budget-armed
-/// context.
-pub fn nei_sky_mc_budgeted(g: &Graph, budget: &ExecutionBudget) -> NeiSkyMcOutcome {
-    nei_sky_mc_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`nei_sky_mc`] run: the best clique
 /// found so far plus the index of the next seed in the (deterministic)
 /// skyline-by-degeneracy-position seed order. The skyline itself, the
@@ -141,24 +127,6 @@ impl KernelState for NeiSkyState {
     }
 }
 
-/// Deprecated twin: use [`nei_sky_mc_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract).
-pub fn nei_sky_mc_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<NeiSkyMcOutcome> {
-    nei_sky_mc_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
-}
-
 fn neisky_leg(
     g: &Graph,
     budget: &ExecutionBudget,
@@ -174,7 +142,14 @@ fn neisky_leg(
         };
         return (out, state);
     }
-    let sky = filter_refine_sky_budgeted(g, &RefineConfig::default(), budget);
+    // A budget-only context, never the caller's recorder or sink: the
+    // skyline phase is an implementation detail of this kernel.
+    let sky = filter_refine_sky_with(
+        g,
+        &RefineConfig::default(),
+        &mut ExecutionContext::new().budget(budget),
+    )
+    .outcome;
     if !sky.completion.is_complete() {
         let mut best = if state.best.is_empty() {
             heuristic_clique(g, 16)

@@ -16,16 +16,14 @@
 //!   solver re-run, reproducing the paper's Fig. 9 crossover at `k = 2`.
 
 use crate::bnb::{max_clique_containing_budgeted, record_clique_stats, valid_clique, CliqueStats};
-use crate::mcbrb::mc_brb_budgeted;
+use crate::mcbrb::mc_brb_with;
 use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::ops::induced_subgraph;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
 use nsky_skyline::incremental::DynamicSkyline;
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use std::collections::BinaryHeap;
 
 /// Which engine drives each round.
@@ -154,50 +152,6 @@ pub fn top_k_cliques_with(
     run
 }
 
-/// Deprecated twin: use [`top_k_cliques_with`] with a recorder-armed
-/// context.
-pub fn top_k_cliques_recorded(
-    g: &Graph,
-    k: usize,
-    mode: TopkMode,
-    rec: &dyn nsky_skyline::obs::Recorder,
-) -> TopkOutcome {
-    top_k_cliques_with(g, k, mode, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`top_k_cliques_with`] with a budget-armed
-/// context.
-pub fn top_k_cliques_budgeted(
-    g: &Graph,
-    k: usize,
-    mode: TopkMode,
-    budget: &ExecutionBudget,
-) -> TopkOutcome {
-    top_k_cliques_with(g, k, mode, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
-/// Deprecated twin: use [`top_k_cliques_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract).
-pub fn top_k_cliques_resumable<'a>(
-    g: &Graph,
-    k: usize,
-    mode: TopkMode,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<TopkOutcome> {
-    top_k_cliques_with(
-        g,
-        k,
-        mode,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
-}
-
 /// Resume state of an interrupted `BaseTopkMCC` run: the fully completed
 /// rounds (clique + retired seed per round). An in-progress round is
 /// dropped on trip — its solver run had not proven the clique maximum —
@@ -284,7 +238,9 @@ fn topk_base_leg(
         }
         let keep: Vec<VertexId> = g.vertices().filter(|&u| alive[u as usize]).collect();
         let (sub, map) = induced_subgraph(g, &keep);
-        let run = mc_brb_budgeted(&sub, budget);
+        // Budget only: the round solver reports into this kernel's
+        // counters, not the caller's recorder or checkpoint sink.
+        let run = mc_brb_with(&sub, &mut ExecutionContext::new().budget(budget)).outcome;
         out.stats.branches += run.stats.branches;
         out.stats.bound_prunes += run.stats.bound_prunes;
         out.stats.root_calls += run.stats.root_calls;

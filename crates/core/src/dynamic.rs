@@ -352,29 +352,6 @@ impl MutableSkyline {
             .outcome
     }
 
-    /// Deprecated twin: [`MutableSkyline::apply_batch_with`] with a
-    /// budget-armed context. After a trip the outcome is the exact
-    /// skyline of the committed prefix.
-    pub fn apply_batch_budgeted(
-        &mut self,
-        deltas: &[EdgeDelta],
-        budget: &ExecutionBudget,
-    ) -> UpdateOutcome {
-        self.apply_batch_with(deltas, &mut ExecutionContext::new().budget(budget))
-            .outcome
-    }
-
-    /// Deprecated twin: [`MutableSkyline::apply_batch_with`] with a
-    /// recorder-armed context.
-    pub fn apply_batch_recorded(
-        &mut self,
-        deltas: &[EdgeDelta],
-        rec: &dyn Recorder,
-    ) -> UpdateOutcome {
-        self.apply_batch_with(deltas, &mut ExecutionContext::new().recorder(rec))
-            .outcome
-    }
-
     /// The one entry point: a delta batch under an [`ExecutionContext`]
     /// — budget, cancellation, checkpoint/resume and observability in
     /// any combination.
@@ -676,7 +653,9 @@ mod tests {
         let mut engine = MutableSkyline::new(g);
         let before = engine.dominator().to_vec();
         let rec = CountingRecorder::new();
-        let out = engine.apply_batch_recorded(&[], &rec);
+        let out = engine
+            .apply_batch_with(&[], &mut ExecutionContext::new().recorder(&rec))
+            .outcome;
         assert!(out.is_complete());
         assert_eq!(engine.dominator(), before.as_slice());
         assert_eq!(out.stats, BatchStats::default());
@@ -784,8 +763,13 @@ mod tests {
         let mut c = MutableSkyline::new(g);
         let rec = CountingRecorder::new();
         let out_a = a.apply_batch(&batch);
-        let out_b = b.apply_batch_budgeted(&batch, &ExecutionBudget::unlimited());
-        let out_c = c.apply_batch_recorded(&batch, &rec);
+        let unlimited = ExecutionBudget::unlimited();
+        let out_b = b
+            .apply_batch_with(&batch, &mut ExecutionContext::new().budget(&unlimited))
+            .outcome;
+        let out_c = c
+            .apply_batch_with(&batch, &mut ExecutionContext::new().recorder(&rec))
+            .outcome;
         assert_eq!(out_a.skyline, out_b.skyline);
         assert_eq!(out_a.skyline, out_c.skyline);
         assert_eq!(rec.value(Counter::DeltasApplied), out_a.stats.applied);

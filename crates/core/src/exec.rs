@@ -1,15 +1,12 @@
 //! One execution context per kernel.
 //!
-//! PRs 2–4 grew every kernel three parallel entry-point families —
-//! `*_budgeted` (anytime execution under an [`ExecutionBudget`]),
-//! `*_resumable` (crash-safe checkpoint/resume through the
-//! [`crate::snapshot`] container) and `*_recorded` (bulk-flush
-//! observability through a [`Recorder`]) — which meant no caller could
-//! compose the capabilities: a run could be budgeted *or* recorded, but
-//! not budgeted, recorded, checkpointed and cancellable at once, which
-//! is exactly the regime a long-lived server lives in.
+//! Every kernel runs under the same four capabilities: anytime execution
+//! under an [`ExecutionBudget`], crash-safe checkpoint/resume through
+//! the [`crate::snapshot`] container, bulk-flush observability through a
+//! [`Recorder`], and cross-thread cancellation. A long-lived server
+//! needs all of them at once, so they are not separate entry points.
 //!
-//! [`ExecutionContext`] collapses the families. It composes the four
+//! [`ExecutionContext`] composes the four
 //! infrastructure carriers — budget (deadline + memory + cancel),
 //! checkpoint resume source, checkpoint sink, recorder — each
 //! defaulting to a no-op, and every kernel exposes exactly one
@@ -37,10 +34,8 @@
 //!              └───────────────────────────────────────────┘
 //! ```
 //!
-//! The old twins survive as one-line shims onto the `*_with` entry
-//! points (enforced by xtask rule R16), so the three families now
-//! *cannot* drift: there is exactly one poll loop, one resume path and
-//! one recorder flush per kernel, and the composed fault matrix
+//! There is exactly one poll loop, one resume path and one recorder
+//! flush per kernel, and the composed fault matrix
 //! (`tests/tests/fault_matrix.rs`) exercises every kernel under every
 //! single fault and every pairwise fault combination through it.
 

@@ -65,23 +65,14 @@ mod result;
 pub mod snapshot;
 mod two_hop;
 
-pub use base::{
-    base_sky, base_sky_budgeted, base_sky_early_exit, base_sky_recorded, base_sky_resumable,
-    base_sky_with,
-};
+pub use base::{base_sky, base_sky_early_exit, base_sky_with};
 pub use budget::{Completion, ExecutionBudget};
 pub use cset::cset_sky;
 pub use dynamic::{BatchStats, MutableSkyline, UpdateOutcome};
 pub use exec::ExecutionContext;
 pub use filter_phase::{filter_phase, FilterOutcome};
 pub use obs::{Counter, CountingRecorder, NoopRecorder, Recorder, RunReport};
-pub use parallel::{
-    filter_refine_sky_par, filter_refine_sky_par_budgeted, filter_refine_sky_par_recorded,
-    filter_refine_sky_par_resumable, filter_refine_sky_par_with,
-};
-pub use refine::{
-    filter_refine_sky, filter_refine_sky_budgeted, filter_refine_sky_recorded,
-    filter_refine_sky_resumable, filter_refine_sky_with, RefineConfig,
-};
+pub use parallel::{filter_refine_sky_par, filter_refine_sky_par_with};
+pub use refine::{filter_refine_sky, filter_refine_sky_with, RefineConfig};
 pub use result::{SkylineResult, SkylineStats};
 pub use two_hop::two_hop_sky;

@@ -6,9 +6,7 @@ use crate::exec::{self, ExecutionContext};
 use crate::filter_phase::{filter_phase, FilterOutcome};
 use crate::obs::{record_skyline_stats, Recorder};
 use crate::result::{SkylineResult, SkylineStats};
-use crate::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use nsky_bloom::{BloomConfig, NeighborhoodFilters};
 use nsky_graph::{Graph, VertexId};
 
@@ -146,27 +144,6 @@ pub fn filter_refine_sky_with(
     run
 }
 
-/// Deprecated twin: use [`filter_refine_sky_with`] with a budget-armed
-/// context. With an unlimited budget the output is byte-identical to
-/// [`filter_refine_sky`]; after a trip it is the sound verified prefix.
-pub fn filter_refine_sky_budgeted(
-    g: &Graph,
-    cfg: &RefineConfig,
-    budget: &ExecutionBudget,
-) -> SkylineResult {
-    filter_refine_sky_with(g, cfg, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
-/// Deprecated twin: use [`filter_refine_sky_with`] with a
-/// recorder-armed context.
-pub fn filter_refine_sky_recorded(
-    g: &Graph,
-    cfg: &RefineConfig,
-    rec: &dyn Recorder,
-) -> SkylineResult {
-    filter_refine_sky_with(g, cfg, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
 /// Resume state of an interrupted [`filter_refine_sky`] run: the refine
 /// dominator array plus the index of the first candidate whose scan has
 /// not finished. The filter phase, bloom filters and candidate index are
@@ -203,26 +180,6 @@ impl KernelState for RefineState {
             cursor: r.take_usize()?,
         })
     }
-}
-
-/// Deprecated twin: use [`filter_refine_sky_with`] with a context
-/// arming budget, resume and checkpoint sink together (see
-/// [`crate::snapshot`] for the checkpoint/resume contract).
-pub fn filter_refine_sky_resumable<'a>(
-    g: &Graph,
-    cfg: &RefineConfig,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<SkylineResult> {
-    filter_refine_sky_with(
-        g,
-        cfg,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 /// Builds the candidate-only CSR adjacency: `cand_adj[v]` lists

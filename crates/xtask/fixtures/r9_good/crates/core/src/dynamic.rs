@@ -1,14 +1,20 @@
-//! Fixture: an instrumented dynamic-maintenance module — one entry
-//! point accepts the observability recorder, covering the module.
+//! Fixture: an instrumented dynamic-maintenance module — a method taking
+//! the execution context covers the module.
 
-/// Open-loop entry point (uninstrumented on purpose).
-pub fn apply_batch(deltas: &[u32]) -> u32 {
-    deltas.iter().copied().sum()
-}
+/// A stand-in incremental engine.
+pub struct Engine;
 
-/// Instrumented twin: flushes the batch counters into the recorder.
-pub fn apply_batch_recorded(deltas: &[u32], rec: &dyn Recorder) -> u32 {
-    let out = apply_batch(deltas);
-    rec.add(Counter::DeltasApplied, u64::from(out));
-    out
+impl Engine {
+    /// Open-loop entry point (uninstrumented on purpose).
+    pub fn apply_batch(&mut self, deltas: &[u32]) -> u32 {
+        self.apply_batch_with(deltas, &mut ExecutionContext::new())
+    }
+
+    /// The one entry point: flushes the batch counters into the context.
+    pub fn apply_batch_with(&mut self, deltas: &[u32], ctx: &mut ExecutionContext<'_>) -> u32 {
+        let out = deltas.iter().copied().sum();
+        ctx.effective_recorder()
+            .add(Counter::DeltasApplied, u64::from(out));
+        out
+    }
 }

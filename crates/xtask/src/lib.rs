@@ -17,14 +17,13 @@
 //! | R6 | `design-drift`      | ablation/config flags named in DESIGN.md §6 exist in source |
 //! | R7 | `budget-check`      | loop-bearing functions in kernel modules poll the execution budget (`.check(`) |
 //! | R8 | `snapshot-versioned` | every `impl KernelState for` block declares a `FORMAT_VERSION` const and calls `expect_version(` in `decode` |
-//! | R9 | `obs-instrumented`  | every kernel module exposes at least one public entry point taking an observability `Recorder` |
+//! | R9 | `obs-instrumented`  | every kernel module exposes at least one public entry point whose signature takes an `ExecutionContext` (or, for the server engine, a `Recorder`) |
 //! | R10 | `cast-audit`       | potentially-lossy `as` casts in library crates carry a `// CAST: <why in range>` justification (or use `try_from`/`From`) |
 //! | R11 | `atomic-ordering`  | atomic ops in the concurrency modules name their `Ordering` explicitly with an `// ORDERING:` rationale; `Relaxed` on cross-thread completion/cancel flags is an error |
 //! | R12 | `api-surface`      | each library crate's public-item surface matches its committed `api/<crate>.surface` baseline (`cargo xtask api --bless` to accept changes) |
 //! | R13 | `poll-reachability` | every loop body in kernel modules reaches a budget poll on all non-early-exit paths, transitively through helpers (flow-aware upgrade of R7, which stays as the fast pre-pass) |
 //! | R14 | `bounded-recursion` | recursion cycles in the kernel crates carry a depth/budget parameter or a `// RECURSION:` termination argument |
 //! | R15 | `hot-loop-alloc`   | loop bodies in `// HOT:`-marked functions do not allocate without an `// ALLOC:` justification |
-//! | R16 | `twin-coherence`   | `*_budgeted`/`*_recorded`/`*_resumable` twins keep pairwise-consistent core signatures; `cargo xtask twins` reports the per-kernel twin count |
 //! | R17 | `lock-order`       | the acquired-while-holding graph over the named `Mutex` fields is acyclic; `cargo xtask locks --check` diffs it against the committed `api/locks.report` |
 //! | R18 | `guard-held-across-blocking` | no kernel entry, socket/file I/O, condvar wait, sleep or thread spawn/join while a `MutexGuard` is live, unless `// GUARD:`-justified (`Shared::epoch`/`queue` findings are unsuppressible) |
 //! | R19 | `condvar-discipline` | every `Condvar::wait` sits in a predicate-retesting loop; every `notify_*` holds the paired mutex |
@@ -76,10 +75,8 @@ mod manifest;
 mod rules;
 mod source;
 pub mod surface;
-mod twins;
 
 pub use locks::locks_report;
-pub use twins::twin_report;
 
 pub use items::{scan_items, Item, ItemKind, Visibility};
 pub use lex::{lex, Token, TokenKind};
@@ -125,9 +122,10 @@ pub enum Rule {
     /// without a version gate.
     SnapshotVersioned,
     /// R9: every kernel module exposes at least one non-test public
-    /// entry point that mentions an observability `Recorder` (or carries
-    /// a justified suppression), so no kernel can land without a way to
-    /// extract counters and phase timings from it.
+    /// entry point whose signature takes an `ExecutionContext` (or, for
+    /// the server engine, a `Recorder`), or carries a justified
+    /// suppression, so no kernel can land without a way to extract
+    /// counters and phase timings from it.
     ObsInstrumented,
     /// R10: every potentially-lossy `as` cast in library crates carries
     /// a `// CAST: <why the value is in range>` justification (or a
@@ -163,12 +161,6 @@ pub enum Rule {
     /// justification at the site — the enforcement rail for the
     /// allocation-free hot-path discipline (ROADMAP item 2).
     HotLoopAlloc,
-    /// R16: the `*_budgeted`/`*_recorded`/`*_resumable` twins of each
-    /// kernel entry point keep pairwise-consistent core signatures
-    /// (same non-infrastructure params; recorded preserves the return
-    /// type, resumable wraps it). `cargo xtask twins --check` diffs the
-    /// per-kernel twin count against `api/twins.report`.
-    TwinCoherence,
     /// R17: the acquired-while-holding graph over the workspace's named
     /// `Mutex` fields (guard-live regions, nested and transitive
     /// acquisitions through the call graph) contains no cycle. The
@@ -215,7 +207,6 @@ impl Rule {
             Rule::PollReachability => "poll-reachability",
             Rule::BoundedRecursion => "bounded-recursion",
             Rule::HotLoopAlloc => "hot-loop-alloc",
-            Rule::TwinCoherence => "twin-coherence",
             Rule::LockOrder => "lock-order",
             Rule::GuardBlocking => "guard-held-across-blocking",
             Rule::CondvarDiscipline => "condvar-discipline",
@@ -223,13 +214,32 @@ impl Rule {
         }
     }
 
-    /// The short positional code (`r1` … `r16`) used by `lint --rule`.
-    pub fn code(self) -> String {
-        let idx = Rule::all()
-            .iter()
-            .position(|&r| r == self)
-            .map_or(0, |i| i + 1);
-        format!("r{idx}")
+    /// The short code (`r1` … `r20`) used by `lint --rule` and the
+    /// DESIGN.md §8 table. Codes are fixed, never positional: a retired
+    /// rule's code (`r16`) stays unassigned so later codes keep their
+    /// meaning.
+    pub fn code(self) -> &'static str {
+        match self {
+            Rule::NoRegistryDeps => "r1",
+            Rule::PanicFree => "r2",
+            Rule::SafetyComment => "r3",
+            Rule::DocPublic => "r4",
+            Rule::NoStdout => "r5",
+            Rule::DesignDrift => "r6",
+            Rule::BudgetCheck => "r7",
+            Rule::SnapshotVersioned => "r8",
+            Rule::ObsInstrumented => "r9",
+            Rule::CastAudit => "r10",
+            Rule::AtomicOrdering => "r11",
+            Rule::ApiSurface => "r12",
+            Rule::PollReachability => "r13",
+            Rule::BoundedRecursion => "r14",
+            Rule::HotLoopAlloc => "r15",
+            Rule::LockOrder => "r17",
+            Rule::GuardBlocking => "r18",
+            Rule::CondvarDiscipline => "r19",
+            Rule::ThreadLifecycle => "r20",
+        }
     }
 
     /// Looks a rule up by its stable name.
@@ -255,7 +265,6 @@ impl Rule {
             Rule::PollReachability,
             Rule::BoundedRecursion,
             Rule::HotLoopAlloc,
-            Rule::TwinCoherence,
             Rule::LockOrder,
             Rule::GuardBlocking,
             Rule::CondvarDiscipline,
@@ -315,7 +324,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     violations.extend(casts::check_casts(root)?);
     violations.extend(atomics::check_atomics(root)?);
     violations.extend(surface::check_surfaces(root)?);
-    violations.extend(twins::check_twins(root)?);
     violations.extend(locks::check_locks(root)?);
     violations.sort_by(|a, b| {
         a.file

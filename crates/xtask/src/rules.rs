@@ -423,10 +423,14 @@ const OBS_MODULES: &[&str] = &[
 ];
 
 /// R9 `obs-instrumented`: every kernel module with public entry points
-/// must have at least one non-test `pub fn` that mentions a `Recorder`
-/// (the observability hook), or carry a justified suppression on its
-/// first public function. One violation per module — the fix is one new
-/// `*_recorded` entry point, not one per function.
+/// must have at least one non-test `pub fn` whose signature takes an
+/// `ExecutionContext` (the kernel's one entry point, which carries the
+/// observability recorder) or a `*Recorder` (the server engine's
+/// per-request recorder), or carry a justified suppression on its first
+/// public function. Only parameter types count: a fn that builds a
+/// context in its body gives its callers no way to observe it. One
+/// violation per module — the fix is one `*_with(ctx)` entry point, not
+/// one per function.
 pub(crate) fn check_obs_instrumented(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     for module in OBS_MODULES {
@@ -444,16 +448,19 @@ pub(crate) fn check_obs_instrumented(root: &Path) -> std::io::Result<Vec<Violati
         let Some(first) = pub_fns.first() else {
             continue;
         };
-        let instrumented = pub_fns
-            .iter()
-            .any(|i| span_tokens(&file, i).any(|t| t.is_ident("Recorder")));
+        let instrumented = pub_fns.iter().any(|i| {
+            i.params.iter().any(|(_, ty)| {
+                ty.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .any(|w| w == "ExecutionContext" || w.ends_with("Recorder"))
+            })
+        });
         if !instrumented && !file.is_suppressed(Rule::ObsInstrumented, first.line) {
             out.push(Violation {
                 file: rel(root, &path),
                 line: first.line,
                 rule: Rule::ObsInstrumented,
                 message: format!(
-                    "kernel module `{module}` exposes no observability-instrumented public entry point (add a `*_recorded` fn taking a `Recorder`, or justify a suppression)"
+                    "kernel module `{module}` exposes no observability-instrumented public entry point (add a `*_with` fn taking an `ExecutionContext` — or, in the server engine, a `Recorder` — or justify a suppression)"
                 ),
             });
         }

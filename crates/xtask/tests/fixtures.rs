@@ -1,7 +1,7 @@
 //! Fixture-based self-tests for the policy lint engine: one
 //! true-positive and one true-negative miniature workspace per rule
-//! R1–R11 and R13–R20, a baseline-drift workspace for R12, CLI
-//! exit-code / `--json` / `--rule` / `twins` contract checks, and the
+//! R1–R11, R13–R15 and R17–R20, a baseline-drift workspace for R12, CLI
+//! exit-code / `--json` / `--rule` contract checks, and the
 //! capstone assertion that the real workspace is lint-clean.
 
 use std::path::{Path, PathBuf};
@@ -314,44 +314,6 @@ fn r15_justified_and_allocation_free_hot_loops_clean() {
 }
 
 #[test]
-fn r16_twin_signature_drift_flagged() {
-    let violations = assert_only_rule("r16_bad", Rule::TwinCoherence);
-    // The recorded twin renames a core param AND changes the result.
-    assert_eq!(violations.len(), 2);
-    assert!(violations
-        .iter()
-        .all(|v| v.message.contains("solve_recorded")));
-    assert!(violations.iter().any(|v| v.message.contains("limit")));
-    assert!(violations.iter().any(|v| v.message.contains("u64")));
-    assert!(violations[0].file.ends_with("crates/clique/src/bnb.rs"));
-}
-
-#[test]
-fn r16_coherent_twin_family_clean() {
-    assert_clean("r16_good");
-}
-
-#[test]
-fn r16_non_delegating_shims_flagged() {
-    let violations = assert_only_rule("r16_shim_bad", Rule::TwinCoherence);
-    // The budgeted twin delegates but keeps its own loop; the recorded
-    // twin never calls `solve_with` at all.
-    assert_eq!(violations.len(), 2);
-    assert!(violations
-        .iter()
-        .any(|v| v.message.contains("solve_budgeted") && v.message.contains("loop")));
-    assert!(violations
-        .iter()
-        .any(|v| v.message.contains("solve_recorded") && v.message.contains("does not delegate")));
-    assert!(violations[0].file.ends_with("crates/clique/src/neisky.rs"));
-}
-
-#[test]
-fn r16_delegating_shims_clean() {
-    assert_clean("r16_shim_good");
-}
-
-#[test]
 fn r17_abba_lock_order_cycle_flagged() {
     let violations = assert_only_rule("r17_bad", Rule::LockOrder);
     // Each direction of the ABBA pair witnesses the cycle once.
@@ -481,8 +443,6 @@ fn cli_exit_codes_match_findings() {
         "r13_bad",
         "r14_bad",
         "r15_bad",
-        "r16_bad",
-        "r16_shim_bad",
         "r17_bad",
         "r17_cross_bad",
         "r18_bad",
@@ -502,26 +462,9 @@ fn cli_exit_codes_match_findings() {
         );
     }
     for good in [
-        "r1_good",
-        "r2_good",
-        "r3_good",
-        "r4_good",
-        "r5_good",
-        "r6_good",
-        "r7_good",
-        "r8_good",
-        "r9_good",
-        "r10_good",
-        "r11_good",
-        "r13_good",
-        "r14_good",
-        "r15_good",
-        "r16_good",
-        "r16_shim_good",
-        "r17_good",
-        "r18_good",
-        "r19_good",
-        "r20_good",
+        "r1_good", "r2_good", "r3_good", "r4_good", "r5_good", "r6_good", "r7_good", "r8_good",
+        "r9_good", "r10_good", "r11_good", "r13_good", "r14_good", "r15_good", "r17_good",
+        "r18_good", "r19_good", "r20_good",
     ] {
         let out = Command::new(bin)
             .args(["lint", "--root"])
@@ -578,7 +521,7 @@ fn cli_lint_json_roundtrips_through_checksum_decoder() {
 }
 
 /// `lint --rule` filters the findings (and the exit code) to one rule,
-/// addressable by positional code or by name.
+/// addressable by its code or by name.
 #[test]
 fn cli_lint_rule_filter() {
     let bin = env!("CARGO_BIN_EXE_nsky-xtask");
@@ -596,34 +539,6 @@ fn cli_lint_rule_filter() {
     assert_eq!(run("poll-reachability").status.code(), Some(1));
     let out = run("nonsense");
     assert_eq!(out.status.code(), Some(2), "unknown rule is a usage error");
-}
-
-/// `twins --check` agrees with the committed `api/twins.report`
-/// baseline on the real workspace, and the plain `twins` report names
-/// every `*_budgeted` family.
-#[test]
-fn cli_twins_check_matches_baseline() {
-    let bin = env!("CARGO_BIN_EXE_nsky-xtask");
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = Command::new(bin)
-        .args(["twins", "--check", "--root"])
-        .arg(&root)
-        .output()
-        .expect("twins --check runs");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "twin-count baseline is current (run `cargo xtask twins --bless` and review): {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let out = Command::new(bin)
-        .args(["twins", "--root"])
-        .arg(&root)
-        .output()
-        .expect("twins runs");
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("filter_refine_sky: 5 (base, budgeted, recorded, resumable, with)"));
-    assert!(report.contains("max_clique_bnb: 5"));
 }
 
 /// `api --check` is its own CLI entry point: exit 1 on the injected

@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use nsky_xtask::locks_report;
+use nsky_xtask::{locks_report, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -132,8 +132,9 @@ fn lint_json_carries_lock_order_counters() {
     assert!(nsky_skyline::RunReport::from_json(&flipped).is_err());
 }
 
-/// `lint --rule` addresses the new rules by name and by positional
-/// code (r17–r20 by position in `Rule::all()`).
+/// `lint --rule` addresses the new rules by name and by their fixed
+/// codes r17–r20; the retired R16 code stays unassigned rather than
+/// shifting the later rules down.
 #[test]
 fn lint_rule_filter_addresses_the_new_rules() {
     let bin = env!("CARGO_BIN_EXE_nsky-xtask");
@@ -153,4 +154,17 @@ fn lint_rule_filter_addresses_the_new_rules() {
     assert_eq!(run("r19", "r19_bad"), Some(1));
     assert_eq!(run("r20", "r20_bad"), Some(1));
     assert_eq!(run("thread-lifecycle", "r20_good"), Some(0));
+    assert_eq!(run("r17", "r18_bad"), Some(0), "r17 still means lock-order");
+    assert_eq!(run("r16", "r17_bad"), Some(2), "r16 is an unknown rule");
+    let codes: Vec<&str> = [
+        Rule::LockOrder,
+        Rule::GuardBlocking,
+        Rule::CondvarDiscipline,
+        Rule::ThreadLifecycle,
+    ]
+    .iter()
+    .map(|r| r.code())
+    .collect();
+    assert_eq!(codes, ["r17", "r18", "r19", "r20"]);
+    assert!(Rule::all().iter().all(|r| r.code() != "r16"));
 }

@@ -8,12 +8,12 @@
 //! Graphs come from a deterministic SplitMix64-driven sweep so failures
 //! reproduce exactly; no test here reads a clock or the filesystem.
 
-use nsky_centrality::greedy::{greedy_group, greedy_group_recorded, GreedyOptions};
+use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
 use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_recorded};
+use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with};
 use nsky_clique::{
-    max_clique_bnb, max_clique_bnb_recorded, mc_brb, mc_brb_recorded, nei_sky_mc,
-    nei_sky_mc_recorded, top_k_cliques, top_k_cliques_recorded, TopkMode,
+    max_clique_bnb, max_clique_bnb_with, mc_brb, mc_brb_with, nei_sky_mc, nei_sky_mc_with,
+    top_k_cliques, top_k_cliques_with, TopkMode,
 };
 use nsky_graph::generators::special::{clique, cycle, star};
 use nsky_graph::generators::{chung_lu_power_law, erdos_renyi, leafy_preferential};
@@ -21,9 +21,9 @@ use nsky_graph::Graph;
 use nsky_skyline::obs::{ReportError, SCHEMA_VERSION};
 use nsky_skyline::snapshot::{FaultFile, FaultKind};
 use nsky_skyline::{
-    base_sky, base_sky_recorded, filter_refine_sky, filter_refine_sky_par,
-    filter_refine_sky_par_recorded, filter_refine_sky_recorded, Completion, Counter,
-    CountingRecorder, NoopRecorder, RefineConfig, RunReport, SkylineResult,
+    base_sky, base_sky_with, filter_refine_sky, filter_refine_sky_par, filter_refine_sky_par_with,
+    filter_refine_sky_with, Completion, Counter, CountingRecorder, ExecutionContext, NoopRecorder,
+    RefineConfig, RunReport, SkylineResult,
 };
 
 /// SplitMix64: the seed stream for the sweep. Chosen over the harness's
@@ -101,7 +101,12 @@ fn skyline_counters_satisfy_the_accounting_identities() {
     for (label, g) in sweep() {
         let n = g.num_vertices() as u64;
         let rec = CountingRecorder::new();
-        let out = filter_refine_sky_recorded(&g, &RefineConfig::default(), &rec);
+        let out = filter_refine_sky_with(
+            &g,
+            &RefineConfig::default(),
+            &mut ExecutionContext::new().recorder(&rec),
+        )
+        .outcome;
         assert_eq!(out.completion, Completion::Complete, "{label}");
         let stats = &out.stats;
 
@@ -184,7 +189,7 @@ fn skyline_counters_satisfy_the_accounting_identities() {
 fn base_sky_counters_cover_every_vertex() {
     for (label, g) in sweep() {
         let rec = CountingRecorder::new();
-        let out = base_sky_recorded(&g, &rec);
+        let out = base_sky_with(&g, &mut ExecutionContext::new().recorder(&rec)).outcome;
         assert_eq!(out.stats.candidate_count, g.num_vertices(), "{label}");
         assert_eq!(
             rec.value(Counter::CandidatesEmitted),
@@ -211,37 +216,44 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
         assert_same_skyline(
             &format!("{label}/refine"),
             &filter_refine_sky(&g, &cfg),
-            &filter_refine_sky_recorded(&g, &cfg, &noop),
+            &filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().recorder(&noop)).outcome,
         );
         assert_same_skyline(
             &format!("{label}/base"),
             &base_sky(&g),
-            &base_sky_recorded(&g, &noop),
+            &base_sky_with(&g, &mut ExecutionContext::new().recorder(&noop)).outcome,
         );
         assert_same_skyline(
             &format!("{label}/par"),
             &filter_refine_sky_par(&g, &cfg, 2),
-            &filter_refine_sky_par_recorded(&g, &cfg, 2, &noop),
+            &filter_refine_sky_par_with(&g, &cfg, 2, &mut ExecutionContext::new().recorder(&noop))
+                .outcome,
         );
 
         let (bnb_clique, bnb_stats) = max_clique_bnb(&g);
-        let bnb_rec = max_clique_bnb_recorded(&g, &noop);
+        let bnb_rec = max_clique_bnb_with(&g, &mut ExecutionContext::new().recorder(&noop)).outcome;
         assert_eq!(bnb_rec.clique, bnb_clique, "{label}/bnb");
         assert_eq!(bnb_rec.stats, bnb_stats, "{label}/bnb");
 
         let (brb_clique, brb_stats) = mc_brb(&g);
-        let brb_rec = mc_brb_recorded(&g, &noop);
+        let brb_rec = mc_brb_with(&g, &mut ExecutionContext::new().recorder(&noop)).outcome;
         assert_eq!(brb_rec.clique, brb_clique, "{label}/mcbrb");
         assert_eq!(brb_rec.stats, brb_stats, "{label}/mcbrb");
 
         let nsm = nei_sky_mc(&g);
-        let nsm_rec = nei_sky_mc_recorded(&g, &noop);
+        let nsm_rec = nei_sky_mc_with(&g, &mut ExecutionContext::new().recorder(&noop)).outcome;
         assert_eq!(nsm_rec.clique, nsm.clique, "{label}/neisky_mc");
         assert_eq!(nsm_rec.stats, nsm.stats, "{label}/neisky_mc");
         assert_eq!(nsm_rec.skyline_size, nsm.skyline_size, "{label}/neisky_mc");
 
         let topk = top_k_cliques(&g, 3, TopkMode::NeiSky);
-        let topk_rec = top_k_cliques_recorded(&g, 3, TopkMode::NeiSky, &noop);
+        let topk_rec = top_k_cliques_with(
+            &g,
+            3,
+            TopkMode::NeiSky,
+            &mut ExecutionContext::new().recorder(&noop),
+        )
+        .outcome;
         assert_eq!(topk_rec.cliques, topk.cliques, "{label}/topk");
         assert_eq!(topk_rec.seeds, topk.seeds, "{label}/topk");
         assert_eq!(topk_rec.stats, topk.stats, "{label}/topk");
@@ -252,7 +264,14 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
     let g = chung_lu_power_law(200, 2.7, 6.0, 11);
     let opts = GreedyOptions::optimized();
     let plain = greedy_group(&g, Harmonic, 4, &opts);
-    let twin = greedy_group_recorded(&g, Harmonic, 4, &opts, &noop);
+    let twin = greedy_group_with(
+        &g,
+        Harmonic,
+        4,
+        &opts,
+        &mut ExecutionContext::new().recorder(&noop),
+    )
+    .outcome;
     assert_eq!(twin.group, plain.group, "greedy group diverged");
     assert_eq!(twin.score, plain.score, "greedy score diverged");
     assert_eq!(twin.gain_evaluations, plain.gain_evaluations);
@@ -260,7 +279,14 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
     assert_eq!(twin.score_trace, plain.score_trace);
 
     let plain = nei_sky_group(&g, Closeness, 4, true);
-    let twin = nei_sky_group_recorded(&g, Closeness, 4, true, &noop);
+    let twin = nei_sky_group_with(
+        &g,
+        Closeness,
+        4,
+        true,
+        &mut ExecutionContext::new().recorder(&noop),
+    )
+    .outcome;
     assert_eq!(
         twin.greedy.group, plain.greedy.group,
         "nei_sky group diverged"
@@ -277,7 +303,7 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
 fn skyline_pruning_shrinks_the_clique_search() {
     for (label, g) in sweep() {
         let rec = CountingRecorder::new();
-        let out = nei_sky_mc_recorded(&g, &rec);
+        let out = nei_sky_mc_with(&g, &mut ExecutionContext::new().recorder(&rec)).outcome;
         let (bnb_clique, bnb_stats) = max_clique_bnb(&g);
         assert_eq!(
             out.clique.len(),
@@ -336,7 +362,14 @@ fn skyline_pruning_shrinks_the_clique_search() {
 fn greedy_counters_flush_through_the_recorder() {
     let g = chung_lu_power_law(200, 2.7, 6.0, 7);
     let rec = CountingRecorder::new();
-    let out = greedy_group_recorded(&g, Harmonic, 3, &GreedyOptions::optimized(), &rec);
+    let out = greedy_group_with(
+        &g,
+        Harmonic,
+        3,
+        &GreedyOptions::optimized(),
+        &mut ExecutionContext::new().recorder(&rec),
+    )
+    .outcome;
     assert_eq!(rec.value(Counter::GainEvaluations), out.gain_evaluations);
     assert_eq!(rec.value(Counter::LazySkips), out.lazy_skips);
     assert!(out.gain_evaluations >= out.group.len() as u64);
@@ -344,7 +377,14 @@ fn greedy_counters_flush_through_the_recorder() {
     assert_eq!(names, ["greedy"]);
 
     let rec = CountingRecorder::new();
-    let out = nei_sky_group_recorded(&g, Closeness, 3, true, &rec);
+    let out = nei_sky_group_with(
+        &g,
+        Closeness,
+        3,
+        true,
+        &mut ExecutionContext::new().recorder(&rec),
+    )
+    .outcome;
     assert_eq!(
         rec.value(Counter::CandidatesEmitted),
         out.skyline_size as u64
@@ -385,7 +425,9 @@ fn dynamic_counters_flush_and_respect_the_two_hop_bound() {
                 EdgeDelta::Delete(u, v)
             };
             let rec = CountingRecorder::new();
-            let out = engine.apply_batch_recorded(&[d], &rec);
+            let out = engine
+                .apply_batch_with(&[d], &mut ExecutionContext::new().recorder(&rec))
+                .outcome;
             assert_eq!(out.completion, Completion::Complete, "{label} step {step}");
 
             // The bulk flush mirrors the outcome stats exactly.
@@ -445,7 +487,9 @@ fn dynamic_counters_flush_and_respect_the_two_hop_bound() {
         // byte-identical, and nothing is recorded.
         let before = engine.dominator().to_vec();
         let rec = CountingRecorder::new();
-        let out = engine.apply_batch_recorded(&[], &rec);
+        let out = engine
+            .apply_batch_with(&[], &mut ExecutionContext::new().recorder(&rec))
+            .outcome;
         assert_eq!(out.completion, Completion::Complete, "{label}");
         assert_eq!(engine.dominator(), before.as_slice(), "{label}");
         assert_eq!(out.stats.applied, 0, "{label}");
@@ -463,7 +507,12 @@ fn dynamic_counters_flush_and_respect_the_two_hop_bound() {
 fn run_reports_round_trip_and_reject_corruption() {
     let g = erdos_renyi(48, 0.15, 42);
     let rec = CountingRecorder::new();
-    let result = filter_refine_sky_recorded(&g, &RefineConfig::default(), &rec);
+    let result = filter_refine_sky_with(
+        &g,
+        &RefineConfig::default(),
+        &mut ExecutionContext::new().recorder(&rec),
+    )
+    .outcome;
     let mut report =
         RunReport::from_recorder("FilterRefineSky", g.fingerprint(), result.completion, &rec);
     report.push_event("budget tripped by nothing — sentinel \"quoted\" event");

@@ -12,12 +12,12 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use nsky_centrality::greedy::{greedy_group, greedy_group_resumable, GreedyOptions};
+use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
 use nsky_centrality::measure::Harmonic;
-use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_resumable};
+use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with};
 use nsky_clique::{
-    max_clique_bnb, max_clique_bnb_resumable, mc_brb, mc_brb_resumable, nei_sky_mc,
-    nei_sky_mc_resumable, top_k_cliques, top_k_cliques_resumable, TopkMode,
+    max_clique_bnb, max_clique_bnb_with, mc_brb, mc_brb_with, nei_sky_mc, nei_sky_mc_with,
+    top_k_cliques, top_k_cliques_with, TopkMode,
 };
 use nsky_graph::generators::{chung_lu_power_law, erdos_renyi};
 use nsky_graph::Graph;
@@ -26,8 +26,8 @@ use nsky_skyline::snapshot::{
     FaultFile, FaultKind, FileCheckpointer, RecoveryError, ResumableRun, Snapshot,
 };
 use nsky_skyline::{
-    base_sky, base_sky_resumable, filter_refine_sky, filter_refine_sky_par_resumable,
-    filter_refine_sky_resumable, RefineConfig,
+    base_sky, base_sky_with, filter_refine_sky, filter_refine_sky_par_with, filter_refine_sky_with,
+    ExecutionContext, RefineConfig,
 };
 
 /// A budget with a deterministic clock tripping on poll `k`, polling on
@@ -98,7 +98,7 @@ fn base_sky_kill_sweep() {
     let full = base_sky(&g);
     kill_sweep(
         "base-sky",
-        &|b, r| base_sky_resumable(&g, b, r, None),
+        &|b, r| base_sky_with(&g, &mut ExecutionContext::new().budget(b).resume(r)),
         &|out, ctx| {
             assert_eq!(out.skyline, full.skyline, "{ctx}");
         },
@@ -112,7 +112,7 @@ fn filter_refine_kill_sweep() {
     let full = filter_refine_sky(&g, &cfg);
     kill_sweep(
         "filter-refine",
-        &|b, r| filter_refine_sky_resumable(&g, &cfg, b, r, None),
+        &|b, r| filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().budget(b).resume(r)),
         &|out, ctx| {
             assert_eq!(out.skyline, full.skyline, "{ctx}");
         },
@@ -127,25 +127,27 @@ fn parallel_refine_kill_sweep() {
     // Two workers race the trip, so the exact trip poll is not
     // deterministic — but the resumed answer must still be exact.
     let (budget, clock) = trip_budget(u64::MAX);
-    let reference = filter_refine_sky_par_resumable(&g, &cfg, 2, &budget, None, None);
+    let reference =
+        filter_refine_sky_par_with(&g, &cfg, 2, &mut ExecutionContext::new().budget(&budget));
     assert_eq!(reference.outcome.skyline, full.skyline);
     let total = clock.polls();
     for k in 1..total {
         let (budget, _clock) = trip_budget(k);
-        let tripped = filter_refine_sky_par_resumable(&g, &cfg, 2, &budget, None, None);
+        let tripped =
+            filter_refine_sky_par_with(&g, &cfg, 2, &mut ExecutionContext::new().budget(&budget));
         let Some(snap) = tripped.snapshot else {
             // Workers may legitimately finish before observing the trip.
             assert_eq!(tripped.outcome.skyline, full.skyline, "par k={k}");
             continue;
         };
         let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("re-read");
-        let resumed = filter_refine_sky_par_resumable(
+        let resumed = filter_refine_sky_par_with(
             &g,
             &cfg,
             2,
-            &ExecutionBudget::unlimited(),
-            Some(&snap),
-            None,
+            &mut ExecutionContext::new()
+                .budget(&ExecutionBudget::unlimited())
+                .resume(Some(&snap)),
         );
         assert!(resumed.recovery.is_none(), "par k={k}");
         assert_eq!(resumed.outcome.skyline, full.skyline, "par k={k}");
@@ -158,7 +160,7 @@ fn clique_bnb_kill_sweep() {
     let (full, _) = max_clique_bnb(&g);
     kill_sweep(
         "clique-bnb",
-        &|b, r| max_clique_bnb_resumable(&g, b, r, None),
+        &|b, r| max_clique_bnb_with(&g, &mut ExecutionContext::new().budget(b).resume(r)),
         &|out, ctx| {
             assert_eq!(out.clique, full, "{ctx}");
         },
@@ -171,7 +173,7 @@ fn mc_brb_kill_sweep() {
     let (full, _) = mc_brb(&g);
     kill_sweep(
         "mc-brb",
-        &|b, r| mc_brb_resumable(&g, b, r, None),
+        &|b, r| mc_brb_with(&g, &mut ExecutionContext::new().budget(b).resume(r)),
         &|out, ctx| {
             assert_eq!(out.clique, full, "{ctx}");
         },
@@ -184,7 +186,7 @@ fn nei_sky_mc_kill_sweep() {
     let full = nei_sky_mc(&g);
     kill_sweep(
         "nei-sky-mc",
-        &|b, r| nei_sky_mc_resumable(&g, b, r, None),
+        &|b, r| nei_sky_mc_with(&g, &mut ExecutionContext::new().budget(b).resume(r)),
         &|out, ctx| {
             assert_eq!(out.clique, full.clique, "{ctx}");
             assert_eq!(out.skyline_size, full.skyline_size, "{ctx}");
@@ -198,7 +200,14 @@ fn topk_base_kill_sweep() {
     let full = top_k_cliques(&g, 3, TopkMode::Base);
     kill_sweep(
         "topk-base",
-        &|b, r| top_k_cliques_resumable(&g, 3, TopkMode::Base, b, r, None),
+        &|b, r| {
+            top_k_cliques_with(
+                &g,
+                3,
+                TopkMode::Base,
+                &mut ExecutionContext::new().budget(b).resume(r),
+            )
+        },
         &|out, ctx| {
             assert_eq!(out.cliques, full.cliques, "{ctx}");
             assert_eq!(out.seeds, full.seeds, "{ctx}");
@@ -212,7 +221,14 @@ fn topk_neisky_kill_sweep() {
     let full = top_k_cliques(&g, 4, TopkMode::NeiSky);
     kill_sweep(
         "topk-neisky",
-        &|b, r| top_k_cliques_resumable(&g, 4, TopkMode::NeiSky, b, r, None),
+        &|b, r| {
+            top_k_cliques_with(
+                &g,
+                4,
+                TopkMode::NeiSky,
+                &mut ExecutionContext::new().budget(b).resume(r),
+            )
+        },
         &|out, ctx| {
             assert_eq!(out.cliques, full.cliques, "{ctx}");
             assert_eq!(out.seeds, full.seeds, "{ctx}");
@@ -227,7 +243,15 @@ fn greedy_plain_kill_sweep() {
     let full = greedy_group(&g, Harmonic, 3, &opts);
     kill_sweep(
         "greedy-plain",
-        &|b, r| greedy_group_resumable(&g, Harmonic, 3, &opts, b, r, None),
+        &|b, r| {
+            greedy_group_with(
+                &g,
+                Harmonic,
+                3,
+                &opts,
+                &mut ExecutionContext::new().budget(b).resume(r),
+            )
+        },
         &|out, ctx| {
             assert_eq!(out.group, full.group, "{ctx}");
             assert_eq!(
@@ -246,7 +270,15 @@ fn greedy_celf_kill_sweep() {
     let full = greedy_group(&g, Harmonic, 3, &opts);
     kill_sweep(
         "greedy-celf",
-        &|b, r| greedy_group_resumable(&g, Harmonic, 3, &opts, b, r, None),
+        &|b, r| {
+            greedy_group_with(
+                &g,
+                Harmonic,
+                3,
+                &opts,
+                &mut ExecutionContext::new().budget(b).resume(r),
+            )
+        },
         &|out, ctx| {
             assert_eq!(out.group, full.group, "{ctx}");
             assert_eq!(
@@ -264,7 +296,15 @@ fn nei_sky_group_kill_sweep() {
     let full = nei_sky_group(&g, Harmonic, 3, true);
     kill_sweep(
         "nei-sky-group",
-        &|b, r| nei_sky_group_resumable(&g, Harmonic, 3, true, b, r, None),
+        &|b, r| {
+            nei_sky_group_with(
+                &g,
+                Harmonic,
+                3,
+                true,
+                &mut ExecutionContext::new().budget(b).resume(r),
+            )
+        },
         &|out, ctx| {
             assert_eq!(out.greedy.group, full.greedy.group, "{ctx}");
             assert_eq!(out.greedy.score, full.greedy.score, "{ctx}");
@@ -283,18 +323,28 @@ fn crash_reload_from_disk_checkpoint_converges() {
     let g = chung_lu_power_law(120, 2.7, 5.0, 12);
     let full = base_sky(&g);
     let (budget, clock) = trip_budget(u64::MAX);
-    let _ = base_sky_resumable(&g, &budget, None, None);
+    let _ = base_sky_with(&g, &mut ExecutionContext::new().budget(&budget));
     let total = clock.polls();
     for k in [total / 4, total / 2, (3 * total) / 4] {
         let path = scratch_path("crash-reload");
         let (budget, _clock) = trip_budget(k);
         budget.set_checkpoint_period(5);
         let mut sink = FileCheckpointer::new(&path);
-        let tripped = base_sky_resumable(&g, &budget, None, Some(&mut sink));
+        let tripped = base_sky_with(
+            &g,
+            &mut ExecutionContext::new()
+                .budget(&budget)
+                .checkpoint(Some(&mut sink)),
+        );
         assert!(tripped.snapshot.is_some(), "k={k}: no final snapshot");
         // Crash: only the disk survives.
         let resume = Snapshot::load(&path).ok();
-        let resumed = base_sky_resumable(&g, &ExecutionBudget::unlimited(), resume.as_ref(), None);
+        let resumed = base_sky_with(
+            &g,
+            &mut ExecutionContext::new()
+                .budget(&ExecutionBudget::unlimited())
+                .resume(resume.as_ref()),
+        );
         assert!(resumed.recovery.is_none(), "k={k}");
         assert_eq!(resumed.outcome.skyline, full.skyline, "k={k}");
         let _ = std::fs::remove_file(&path);
@@ -312,18 +362,23 @@ fn periodic_checkpoints_preserve_answers_and_stay_loadable() {
     let budget = ExecutionBudget::unlimited().check_interval(1);
     budget.set_checkpoint_period(7);
     let mut sink = FileCheckpointer::new(&path);
-    let run =
-        filter_refine_sky_resumable(&g, &RefineConfig::default(), &budget, None, Some(&mut sink));
+    let run = filter_refine_sky_with(
+        &g,
+        &RefineConfig::default(),
+        &mut ExecutionContext::new()
+            .budget(&budget)
+            .checkpoint(Some(&mut sink)),
+    );
     assert!(run.snapshot.is_none(), "checkpointed run must still finish");
     assert_eq!(run.outcome.skyline, full.skyline);
     // The file holds some mid-run state; resuming from it re-converges.
     let snap = Snapshot::load(&path).expect("at least one checkpoint landed");
-    let resumed = filter_refine_sky_resumable(
+    let resumed = filter_refine_sky_with(
         &g,
         &RefineConfig::default(),
-        &ExecutionBudget::unlimited(),
-        Some(&snap),
-        None,
+        &mut ExecutionContext::new()
+            .budget(&ExecutionBudget::unlimited())
+            .resume(Some(&snap)),
     );
     assert!(resumed.recovery.is_none());
     assert_eq!(resumed.outcome.skyline, full.skyline);
@@ -333,9 +388,9 @@ fn periodic_checkpoints_preserve_answers_and_stay_loadable() {
 /// A genuine mid-run snapshot of `base_sky` on `g`, as wire bytes.
 fn genuine_snapshot(g: &Graph) -> Vec<u8> {
     let (budget, clock) = trip_budget(u64::MAX);
-    let _ = base_sky_resumable(g, &budget, None, None);
+    let _ = base_sky_with(g, &mut ExecutionContext::new().budget(&budget));
     let (budget, _clock) = trip_budget(clock.polls() / 2);
-    let tripped = base_sky_resumable(g, &budget, None, None);
+    let tripped = base_sky_with(g, &mut ExecutionContext::new().budget(&budget));
     tripped.snapshot.expect("mid-run trip").to_bytes()
 }
 
@@ -406,14 +461,24 @@ fn unusable_snapshots_degrade_to_clean_fresh_runs() {
     let snap = Snapshot::from_bytes(&genuine_snapshot(&other)).expect("genuine");
 
     // Wrong graph: typed GraphMismatch, then a clean from-scratch run.
-    let run = base_sky_resumable(&g, &ExecutionBudget::unlimited(), Some(&snap), None);
+    let run = base_sky_with(
+        &g,
+        &mut ExecutionContext::new()
+            .budget(&ExecutionBudget::unlimited())
+            .resume(Some(&snap)),
+    );
     assert!(matches!(run.recovery, Some(RecoveryError::GraphMismatch)));
     assert_eq!(run.outcome.skyline, full.skyline);
 
     // Wrong kernel: a base-sky snapshot offered to the clique solver.
     let snap = Snapshot::from_bytes(&genuine_snapshot(&g)).expect("genuine");
     let (full_clique, _) = mc_brb(&g);
-    let run = mc_brb_resumable(&g, &ExecutionBudget::unlimited(), Some(&snap), None);
+    let run = mc_brb_with(
+        &g,
+        &mut ExecutionContext::new()
+            .budget(&ExecutionBudget::unlimited())
+            .resume(Some(&snap)),
+    );
     assert!(matches!(
         run.recovery,
         Some(RecoveryError::KernelMismatch { .. })
