@@ -13,7 +13,6 @@
 //! Run `cargo run -p nsky-bench --release --bin repro_all` to regenerate
 //! everything at once.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

@@ -17,7 +17,14 @@
 //! comparison and for the Lemma 2 false-positive-rate analysis in
 //! [`analysis`].
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -186,7 +186,7 @@ impl<'g, M: GroupMeasure> Evaluator<'g, M> {
     /// Raw-total gain of adding `u` (non-negative, in the maximize
     /// orientation of the measure), or `None` when the budget tripped
     /// mid-evaluation (the partial improvement list is discarded).
-    // nsky-lint: allow(budget-check) — bounded by one BFS's improvement list; the BFS itself is ticked
+    // nsky-lint: allow(poll-reachability) — bounded by one BFS's improvement list; the BFS itself is ticked
     fn gain(&mut self, u: VertexId, prune: bool, ticker: &mut BudgetTicker<'_>) -> Option<f64> {
         debug_assert!(!self.in_group[u as usize]);
         if self.collect_improvements(u, prune, ticker).is_some() {
@@ -216,7 +216,7 @@ impl<'g, M: GroupMeasure> Evaluator<'g, M> {
     /// `dist_s`/`total` state must stay consistent, so a commit is atomic
     /// (its cost is one BFS — the same as the gain evaluation that chose
     /// `u`).
-    // nsky-lint: allow(budget-check) — atomic by design: an interrupted commit would corrupt dist_s/total
+    // nsky-lint: allow(poll-reachability) — atomic by design: an interrupted commit would corrupt dist_s/total
     fn commit(&mut self, u: VertexId) {
         self.collect_improvements(u, true, &mut BudgetTicker::inert());
         self.total -= self.measure.contribution(self.dist_s[u as usize], self.n);
@@ -377,7 +377,7 @@ impl GreedyState {
     /// `NeiSkyGroup` wrapper state, which checks its *own* format
     /// version first — `Snapshot::pack` writes the outermost type's
     /// version, so the wrapper must not re-check this type's.
-    // nsky-lint: allow(budget-check) — bounded decode of a length-checked snapshot payload
+    // nsky-lint: allow(poll-reachability) — bounded decode of a length-checked snapshot payload
     pub(crate) fn decode_fields(r: &mut Reader<'_>) -> Result<Self, RecoveryError> {
         let phase = r.take_u8()?;
         let group = r.take_u32_vec()?;
@@ -404,7 +404,7 @@ impl KernelState for GreedyState {
     const FORMAT_VERSION: u32 = 1;
     const KERNEL: KernelId = KernelId::GreedyGroup;
 
-    // nsky-lint: allow(budget-check) — bounded single pass over the saved queue
+    // nsky-lint: allow(poll-reachability) — bounded single pass over the saved queue
     fn encode(&self, w: &mut Writer) {
         w.put_u8(self.phase);
         w.put_u32_slice(&self.group);

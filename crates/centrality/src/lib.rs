@@ -26,7 +26,14 @@
 //! convention) and a penalty distance of `n` to closeness sums, keeping
 //! `GC` finite and monotone on disconnected graphs.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 pub mod betweenness;

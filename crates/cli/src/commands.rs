@@ -838,53 +838,6 @@ pub(crate) fn mis(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `nsky serve <edge-list> [--addr A] [--workers N] [--queue N]
-/// [--request-timeout SECS] [--read-timeout SECS]`.
-///
-/// Blocks until a client sends `{"op":"shutdown"}`; the daemon then
-/// drains in-flight requests and this returns the final counters. The
-/// listening line is printed eagerly (before blocking) so callers can
-/// discover the bound port.
-pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
-    let g = load(args)?;
-    let n = g.num_vertices();
-    let mut config = nsky_server::ServerConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7071").to_owned(),
-        ..nsky_server::ServerConfig::default()
-    };
-    config.workers = args.number("workers", config.workers)?;
-    config.queue_capacity = args.number("queue", config.queue_capacity)?;
-    let read_timeout: f64 = args.number("read-timeout", 5.0)?;
-    if read_timeout > 0.0 {
-        config.read_timeout = Duration::from_secs_f64(read_timeout);
-    }
-    let request_timeout: f64 = args.number("request-timeout", 0.0)?;
-    if request_timeout > 0.0 {
-        config.default_timeout = Some(Duration::from_secs_f64(request_timeout));
-    }
-    let handle = nsky_server::Server::start(g, config)
-        .map_err(|e| CliError::Input(format!("failed to start server: {e}")))?;
-    // Printed eagerly: `run()` only prints after the daemon exits.
-    println!(
-        "nsky: serving on {} (n = {n}, send {{\"op\":\"shutdown\"}} to stop)",
-        handle.addr()
-    );
-    let stats = handle.join();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "server drained: accepted = {} completed = {} partial = {} shed = {} \
-         cancelled = {} protocol_errors = {}",
-        stats.accepted,
-        stats.completed,
-        stats.partial,
-        stats.shed,
-        stats.cancelled,
-        stats.protocol_errors
-    );
-    Ok(out)
-}
-
 /// `nsky generate <family> --n N [--seed S] [family params] [-o out]`.
 pub(crate) fn generate(args: &Args) -> Result<String, CliError> {
     use nsky_graph::generators as gen;

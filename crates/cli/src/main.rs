@@ -12,8 +12,6 @@
 //! nsky generate <family> --n N [--seed S] [-o out.txt]
 //!     families: er, powerlaw, ba, leafy, affiliation, copying, threshold,
 //!               karate, bombing
-//! nsky serve    <edge-list> [--addr HOST:PORT] [--workers N] [--queue N]
-//!                           [--request-timeout SECS] [--read-timeout SECS]
 //! ```
 //!
 //! Edge lists are whitespace-separated `u v` lines; `#`/`%` comments are
@@ -98,7 +96,6 @@ pub(crate) fn run(raw: &[String]) -> Result<CmdOut, CliError> {
         "mis" => complete(commands::mis(&parsed)),
         "update" => commands::update(&parsed),
         "generate" => complete(commands::generate(&parsed)),
-        "serve" => complete(commands::serve(&parsed)),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
 }
@@ -122,11 +119,6 @@ USAGE:
                 with incremental skyline maintenance; accepts all
                 BUDGET / CHECKPOINTING / METRICS flags — a tripped run
                 prints the exact skyline of the committed delta prefix
-  nsky serve    <edge-list> [--addr HOST:PORT] [--workers N] [--queue N]
-                            [--request-timeout SECS] [--read-timeout SECS]
-                newline-delimited JSON query daemon; blocks until a
-                client sends {\"op\":\"shutdown\"}, then drains and
-                prints the final counters (see DESIGN.md §7 Serving)
 
 BUDGET (skyline refine|base|par, clique, group closeness|harmonic,
         update):

@@ -47,7 +47,7 @@ pub struct CliqueRun {
 /// Greedy sequential coloring of `cand`; returns `(vertex, color)` pairs
 /// sorted by color ascending (colors start at 1). The number of colors
 /// upper-bounds the clique number of the induced subgraph.
-// nsky-lint: allow(budget-check) — bounded O(|cand|²) work per call, ticked by the caller
+// nsky-lint: allow(poll-reachability) — bounded O(|cand|²) work per call, ticked by the caller
 fn color_candidates(g: &Graph, cand: &[VertexId]) -> Vec<(VertexId, u32)> {
     let mut classes: Vec<Vec<VertexId>> = Vec::new();
     for &v in cand {
@@ -128,7 +128,7 @@ fn expand(
 /// `cand` must be sorted ascending (it comes from a CSR adjacency list);
 /// membership tests are binary searches, keeping the whole peel at
 /// `O(Σ_{x∈cand} deg(x) · log |cand|)`.
-// nsky-lint: allow(budget-check) — near-linear bounded peel per call, ticked by the caller
+// nsky-lint: allow(poll-reachability) — near-linear bounded peel per call, ticked by the caller
 fn peel_candidates(g: &Graph, cand: Vec<VertexId>, min_inside: usize) -> Vec<VertexId> {
     debug_assert!(cand.windows(2).all(|w| w[0] < w[1]));
     let pos = |x: VertexId| cand.binary_search(&x).ok();

@@ -18,7 +18,14 @@
 //!   inclusion: independent-set reducing–peeling with the domination
 //!   deletion rule.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 pub mod bnb;

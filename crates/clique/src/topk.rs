@@ -176,7 +176,7 @@ impl KernelState for TopkBaseState {
     const FORMAT_VERSION: u32 = 1;
     const KERNEL: KernelId = KernelId::TopkBase;
 
-    // nsky-lint: allow(budget-check) — bounded single pass over completed rounds
+    // nsky-lint: allow(poll-reachability) — bounded single pass over completed rounds
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.cliques.len());
         for c in &self.cliques {
@@ -185,7 +185,7 @@ impl KernelState for TopkBaseState {
         w.put_u32_slice(&self.seeds);
     }
 
-    // nsky-lint: allow(budget-check) — bounded decode of a length-checked snapshot payload
+    // nsky-lint: allow(poll-reachability) — bounded decode of a length-checked snapshot payload
     fn decode(r: &mut Reader<'_>) -> Result<Self, RecoveryError> {
         r.expect_version(Self::FORMAT_VERSION)?;
         let rounds = r.take_usize()?;
@@ -327,7 +327,7 @@ impl KernelState for TopkNeiSkyState {
     const FORMAT_VERSION: u32 = 1;
     const KERNEL: KernelId = KernelId::TopkNeiSky;
 
-    // nsky-lint: allow(budget-check) — bounded single pass over the saved search structures
+    // nsky-lint: allow(poll-reachability) — bounded single pass over the saved search structures
     fn encode(&self, w: &mut Writer) {
         w.put_bool(self.started);
         w.put_usize(self.cliques.len());
@@ -357,7 +357,7 @@ impl KernelState for TopkNeiSkyState {
         }
     }
 
-    // nsky-lint: allow(budget-check) — bounded decode of a length-checked snapshot payload
+    // nsky-lint: allow(poll-reachability) — bounded decode of a length-checked snapshot payload
     fn decode(r: &mut Reader<'_>) -> Result<Self, RecoveryError> {
         r.expect_version(Self::FORMAT_VERSION)?;
         let started = r.take_bool()?;
@@ -513,13 +513,19 @@ fn topk_neisky_leg(
             if top.key <= floor {
                 // Nothing in the queue can beat the incumbent.
                 heap.push(top);
-                // nsky-lint: allow(panic-free) — invariant: key > 0 and key ≤ floor, so floor > 0 and the incumbent is set
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: key > 0 and key ≤ floor, so floor > 0 and the incumbent is set"
+                )]
                 let ans = incumbent.take().expect("floor > 0 ⇒ incumbent");
                 finish_round(g, ans, &mut out, &mut alive, &mut dyn_sky, &mut heap, &ub);
                 continue 'rounds;
             }
             if top.exact {
-                // nsky-lint: allow(panic-free) — invariant: `exact` entries are pushed only after caching the clique
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: `exact` entries are pushed only after caching the clique"
+                )]
                 let clique = cache[s as usize].as_ref().expect("exact ⇒ cached");
                 if clique.iter().all(|&v| alive[v as usize]) {
                     // Still fully alive ⇒ still maximum-containing (the
@@ -586,7 +592,7 @@ fn topk_neisky_leg(
 
 /// Records a round's answer and retires its seed, feeding vertices that
 /// entered the skyline back into the lazy queue.
-// nsky-lint: allow(budget-check) — bounded by the skyline re-entry report of one removal, ticked by the caller
+// nsky-lint: allow(poll-reachability) — bounded by the skyline re-entry report of one removal, ticked by the caller
 fn finish_round(
     g: &Graph,
     (clique, seed): (Vec<VertexId>, VertexId),

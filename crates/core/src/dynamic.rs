@@ -374,11 +374,11 @@ impl MutableSkyline {
         deltas: &[EdgeDelta],
         ctx: &mut ExecutionContext<'_>,
     ) -> ResumableRun<UpdateOutcome> {
+        // Callers validate untrusted batches first; a bad batch reaching
+        // the engine is a caller bug, and panicking before any mutation
+        // keeps the graph/skyline pair intact.
+        #[expect(clippy::panic, reason = "documented caller contract")]
         if let Err(e) = validate_batch(deltas, self.view.num_vertices()) {
-            // Callers validate untrusted batches first; a bad batch
-            // reaching the engine is a caller bug, and panicking before
-            // any mutation keeps the graph/skyline pair intact.
-            // nsky-lint: allow(panic-free) — documented caller contract
             panic!("invalid delta batch: {e} (run validate_batch first)");
         }
         let hash = hash_deltas(deltas);

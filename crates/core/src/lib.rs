@@ -44,7 +44,14 @@
 //! assert_eq!(fast.skyline, slow.skyline);
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 pub mod approx;

@@ -186,12 +186,18 @@ fn parallel_leg(
         vec![Verdict::Unverified; candidates.len()]
     };
 
+    // Each worker counts on its own stack and stores the totals in its
+    // slot once (at most `threads` chunks, so no slot is shared and no
+    // counter write contends); the slots are summed after the join.
+    let mut worker_stats = vec![SkylineStats::default(); threads];
     std::thread::scope(|scope| {
         let filters = &filters;
-        for (slice, out) in candidates.chunks(chunk).zip(verdicts.chunks_mut(chunk)) {
+        let work = candidates.chunks(chunk).zip(verdicts.chunks_mut(chunk));
+        for ((slice, out), slot) in work.zip(worker_stats.iter_mut()) {
             scope.spawn(move || {
                 let mut seen: Vec<u32> = vec![u32::MAX; n];
                 let mut ticker = budget.ticker();
+                let mut local = SkylineStats::default();
                 for (i, &u) in slice.iter().enumerate() {
                     if out[i] != Verdict::Unverified {
                         continue; // verified before the last trip
@@ -199,14 +205,32 @@ fn parallel_leg(
                     if ticker.check().is_some() {
                         break; // leave the rest of the chunk Unverified
                     }
-                    out[i] = refine_one(g, filters, is_candidate, cfg, &mut seen, &mut ticker, u);
+                    out[i] = refine_one(
+                        g,
+                        filters,
+                        is_candidate,
+                        cfg,
+                        &mut seen,
+                        &mut ticker,
+                        &mut local,
+                        u,
+                    );
                     if out[i] == Verdict::Unverified {
                         break; // tripped mid-scan
                     }
                 }
+                *slot = local;
             });
         }
     });
+    for w in &worker_stats {
+        stats.pair_tests += w.pair_tests;
+        stats.bf_word_rejects += w.bf_word_rejects;
+        stats.bf_bit_rejects += w.bf_bit_rejects;
+        stats.adjacency_probes += w.adjacency_probes;
+        stats.bloom_queries += w.bloom_queries;
+        stats.bloom_hits += w.bloom_hits;
+    }
 
     let completion = budget.status();
     let mut dominator = filter.dominator.clone();
@@ -244,7 +268,10 @@ fn parallel_leg(
 /// [`Verdict::Unverified`] if the budget trips mid-scan.
 // HOT: per-candidate scan executed across the worker pool — shared-state
 // writes are stamp-array updates only, never heap growth.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-worker scratch (stamps, ticker, counters) is passed apart from the shared inputs"
+)]
 fn refine_one(
     g: &Graph,
     filters: &NeighborhoodFilters,
@@ -252,6 +279,7 @@ fn refine_one(
     cfg: &RefineConfig,
     seen: &mut [u32],
     ticker: &mut BudgetTicker<'_>,
+    stats: &mut SkylineStats,
     u: VertexId,
 ) -> Verdict {
     let du = g.degree(u);
@@ -292,8 +320,14 @@ fn refine_one(
             if g.degree(w) < du || is_candidate[w as usize] != w {
                 continue;
             }
-            if word_prefilter && !filters.filter_subset(u, w) {
-                continue;
+            stats.pair_tests += 1;
+            if word_prefilter {
+                stats.bloom_queries += 1;
+                if !filters.filter_subset(u, w) {
+                    stats.bf_word_rejects += 1;
+                    continue;
+                }
+                stats.bloom_hits += 1;
             }
             let mut dominated = true;
             for &x in g.neighbors(u) {
@@ -303,7 +337,15 @@ fn refine_one(
                 if x == w || x == v {
                     continue;
                 }
-                if !filters.maybe_contains(w, x) || !g.has_edge(w, x) {
+                stats.bloom_queries += 1;
+                if !filters.maybe_contains(w, x) {
+                    stats.bf_bit_rejects += 1;
+                    dominated = false;
+                    break;
+                }
+                stats.bloom_hits += 1;
+                stats.adjacency_probes += 1;
+                if !g.has_edge(w, x) {
                     dominated = false;
                     break;
                 }

@@ -15,7 +15,14 @@
 //!   scalability graphs (LiveJournal, Pokec, Orkut), matching each
 //!   dataset's degree-distribution *shape* at ~1/100 scale.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 mod bombing_net;

@@ -28,7 +28,14 @@
 //! All vertex identifiers are `u32` ([`VertexId`]); graphs are simple
 //! (no self-loops, no parallel edges) and undirected.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 mod builder;

@@ -266,7 +266,7 @@ fn client_loop(state: &Run) -> Vec<u64> {
             continue;
         }
         let scheduled = due.max(now);
-        match fire_request(state) {
+        match fire_request(state, i) {
             Ok(partial) => {
                 let done = state.start.elapsed();
                 let lat = done.saturating_sub(scheduled);
@@ -286,15 +286,22 @@ fn client_loop(state: &Run) -> Vec<u64> {
     }
 }
 
-/// Sends one healthy request and reads the one-line response.
-fn fire_request(state: &Run) -> Result<bool, ()> {
+/// Sends one healthy request and reads the one-line response. A
+/// `dominates` request asks about `(0, 1)` on even arrivals and `(1, 0)`
+/// on odd ones, a pair that is valid on any graph with two vertices.
+fn fire_request(state: &Run, i: usize) -> Result<bool, ()> {
     let stream = TcpStream::connect(&state.addr).map_err(|_| ())?;
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|_| ())?;
     let mut writer = stream.try_clone().map_err(|_| ())?;
+    let pair = match (state.op.as_str(), i % 2) {
+        ("dominates", 0) => ",\"u\":0,\"v\":1",
+        ("dominates", _) => ",\"u\":1,\"v\":0",
+        _ => "",
+    };
     let line = format!(
-        "{{\"op\":\"{}\",\"timeout_ms\":{}}}\n",
+        "{{\"op\":\"{}\",\"timeout_ms\":{}{pair}}}\n",
         state.op, state.timeout_ms
     );
     writer.write_all(line.as_bytes()).map_err(|_| ())?;

@@ -23,7 +23,14 @@
 //! See DESIGN.md §7 "Serving" for the protocol grammar and the
 //! shedding/drain contracts.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 
 pub mod engine;
 pub mod json;

@@ -540,6 +540,10 @@ fn handle_frame(
 /// panic hook is silenced around the controlled panic so the fault
 /// suite's output stays free of backtrace spray, and restored before
 /// returning.
+#[expect(
+    clippy::panic,
+    reason = "unwinding past a held guard is the only way to poison a std Mutex"
+)]
 fn poison<T>(m: &Mutex<T>) {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -548,7 +552,6 @@ fn poison<T>(m: &Mutex<T>) {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        // nsky-lint: allow(panic-free) — unwinding past a held guard is the only way to poison a std Mutex
         panic!("injected poison");
     }));
     std::panic::set_hook(hook);

@@ -18,7 +18,14 @@
 //!   list crosscutting;
 //! * [`lc_join_skyline`] — the skyline driver on top of the join.
 
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 mod index;

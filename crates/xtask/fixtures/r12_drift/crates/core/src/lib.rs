@@ -1,7 +1,5 @@
 //! Fixture: a crate whose public API drifted from its committed baseline.
 
-#![forbid(unsafe_code)]
-
 /// Counts vertices. Renamed from `order` after the baseline was blessed.
 pub fn vertex_count(n: usize) -> usize {
     n

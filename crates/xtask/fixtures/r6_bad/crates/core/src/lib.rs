@@ -1,6 +1,4 @@
 //! Fixture: source without the documented flag.
 
-#![forbid(unsafe_code)]
-
 /// Present but unrelated.
 pub fn unrelated() {}

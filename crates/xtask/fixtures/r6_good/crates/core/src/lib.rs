@@ -1,7 +1,5 @@
 //! Fixture: source carrying the documented flag.
 
-#![forbid(unsafe_code)]
-
 /// Config with the documented lever.
 pub struct Config {
     /// The documented lever.

@@ -12,7 +12,7 @@ fn scan_candidates(xs: &[u32], ticker: &mut BudgetTicker) -> u32 {
     acc
 }
 
-// nsky-lint: allow(budget-check) — bounded near-linear peel per call, ticked by the caller
+// nsky-lint: allow(poll-reachability) — bounded near-linear peel per call, ticked by the caller
 fn bounded_helper(xs: &[u32]) -> u32 {
     let mut acc = 0;
     for &x in xs {

@@ -8,19 +8,14 @@
 //! one; an ambiguous name produces no edge, which errs on the strict
 //! side for every rule built on top.
 //!
-//! Two transitive facts are computed over the graph, both to the bounded
-//! call depth [`CALL_DEPTH`]:
-//!
-//! * [`CallGraph::polls_any_names`] — functions that *lexically* reach a
-//!   budget poll (`.check(` / `.charge(`) through any call chain. This
-//!   is the upgraded R7 pre-pass: a kernel entry point whose polls live
-//!   in a helper passes R7 and graduates to the path-sensitive R13.
-//! * [`CallGraph::polls_all_paths_names`] — functions guaranteed to poll
-//!   on every continuing path through their body (early returns are
-//!   exempt fast paths, same as R13's loop analysis). These names credit
-//!   loop bodies in [`crate::cfg::FlowAnalysis`]. A name qualifies only
-//!   when *every* function bearing it qualifies, so collisions cannot
-//!   launder a non-polling helper.
+//! The polling fact R13 needs is computed over the graph to the bounded
+//! call depth [`CALL_DEPTH`]: [`CallGraph::polls_all_paths_names`] —
+//! functions guaranteed to poll on every continuing path through their
+//! body (early returns are exempt fast paths, same as R13's loop
+//! analysis). These names credit loop bodies in
+//! [`crate::cfg::FlowAnalysis`]. A name qualifies only when *every*
+//! function bearing it qualifies, so collisions cannot launder a
+//! non-polling helper.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -59,8 +54,6 @@ pub struct FnNode {
     /// names (`Ord::cmp` delegation, `Vec::len` forwarding) and would
     /// fabricate recursion cycles that do not exist.
     pub calls_strict: Vec<String>,
-    /// Whether the body lexically contains `.check(` or `.charge(`.
-    pub has_poll_primitive: bool,
     /// Index of the item within its file's item list.
     pub item_index: usize,
 }
@@ -100,7 +93,6 @@ pub fn build(root: &Path) -> std::io::Result<CallGraph> {
                     params: item.params.clone(),
                     calls,
                     calls_strict,
-                    has_poll_primitive: has_poll_primitive(&file, (item.sig_end, item.span.1)),
                     item_index,
                 });
                 bodies.push(body);
@@ -164,59 +156,11 @@ pub fn call_targets(file: &SourceFile, (a, b): (usize, usize)) -> (Vec<String>, 
     (all, strict)
 }
 
-/// Whether a raw token range contains a `.check(` or `.charge(` call.
-pub fn has_poll_primitive(file: &SourceFile, (a, b): (usize, usize)) -> bool {
-    let code: Vec<usize> = (a..=b.min(file.tokens.len().saturating_sub(1)))
-        .filter(|&i| !file.tokens[i].is_comment())
-        .collect();
-    (0..code.len()).any(|k| {
-        let t = &file.tokens[code[k]];
-        (t.is_ident("check") || t.is_ident("charge"))
-            && k >= 1
-            && file.tokens[code[k - 1]].is_punct(".")
-            && code
-                .get(k + 1)
-                .is_some_and(|&i| file.tokens[i].is_punct("("))
-    })
-}
-
 impl CallGraph {
     /// The parsed body of function `i` (code-index vector plus block).
     pub fn body(&self, i: usize) -> (&[usize], &Block) {
         let (code, block) = &self.bodies[i];
         (code, block)
-    }
-
-    /// Names of functions that lexically reach a poll primitive through
-    /// any call chain of depth ≤ [`CALL_DEPTH`] (any-path: used by the
-    /// upgraded R7 pre-pass).
-    pub fn polls_any_names(&self) -> HashSet<String> {
-        let mut set: HashSet<String> = self
-            .fns
-            .iter()
-            .filter(|f| f.has_poll_primitive)
-            .map(|f| f.name.clone())
-            .collect();
-        for _ in 0..CALL_DEPTH {
-            let mut grew = false;
-            for f in &self.fns {
-                if !set.contains(&f.name) && f.calls.iter().any(|c| set.contains(c)) {
-                    set.insert(f.name.clone());
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        set
-    }
-
-    /// Whether function `i` passes the upgraded R7: a lexical poll
-    /// primitive, or a call chain to one.
-    pub fn polls_anywhere(&self, i: usize, any_names: &HashSet<String>) -> bool {
-        let f = &self.fns[i];
-        f.has_poll_primitive || f.calls.iter().any(|c| any_names.contains(c))
     }
 
     /// Generic any-path name fixpoint: seeds the names of every non-test

@@ -1,16 +1,13 @@
-//! Drivers for the flow-aware rules: R7 `budget-check` (upgraded to a
-//! transitive pre-pass), R13 `poll-reachability`, R14
+//! Drivers for the flow-aware rules: R13 `poll-reachability`, R14
 //! `bounded-recursion` and R15 `hot-loop-alloc`.
 //!
-//! The division of labor with R7: R7 stays the fast lexical gate — a
-//! loop-bearing kernel function must reach a poll *somewhere* (now
-//! including transitively through helpers, so a helper-indirected poll
-//! passes). Functions that pass R7 unsuppressed graduate to R13, which
-//! asks the path-sensitive question: does every loop body reach the poll
-//! on *all* non-early-exit paths? A function whose R7 is suppressed
-//! argued a bound for the whole function, so R13 does not re-litigate
-//! it; a function that fails R7 gets the R7 report only (no
-//! double-reporting).
+//! R13 asks of every loop in a loop-bearing kernel function: does its
+//! body reach a budget poll on *all* non-early-exit paths (directly or
+//! through helpers that poll on all paths)? A function that never polls
+//! gets one finding per loop, call-free leaf loops included. A
+//! `poll-reachability` suppression on the function's line argues a
+//! bound for the whole function and waives all of its loops; one on a
+//! loop's line waives that loop.
 
 use std::path::Path;
 
@@ -31,14 +28,13 @@ const BOUND_PARAM_NAMES: &[&str] = &["depth", "budget", "fuel"];
 /// carrier threaded through the recursion is a bound).
 const BOUND_PARAM_TYPES: &[&str] = &["BudgetTicker", "ExecutionBudget"];
 
-/// Runs R7 (upgraded), R13, R14 and R15 over the workspace at `root`.
+/// Runs R13, R14 and R15 over the workspace at `root`.
 pub(crate) fn check_flow(root: &Path) -> std::io::Result<Vec<Violation>> {
     let graph = callgraph::build(root)?;
-    let any_names = graph.polls_any_names();
     let all_path_names = graph.polls_all_paths_names();
     let mut out = Vec::new();
 
-    // R7 + R13 over the kernel modules.
+    // R13 over the kernel modules.
     for module in KERNEL_MODULES {
         let module_path = Path::new(module);
         let Some(file) = graph.files.get(module_path) else {
@@ -52,38 +48,27 @@ pub(crate) fn check_flow(root: &Path) -> std::io::Result<Vec<Violation>> {
             if item.kind != ItemKind::Fn || !span_has_loop(file, item) {
                 continue;
             }
-            let r7_suppressed = file.is_suppressed(Rule::BudgetCheck, item.line);
-            if !graph.polls_anywhere(i, &any_names) {
-                if !r7_suppressed {
-                    out.push(Violation {
-                        file: f.file.clone(),
-                        line: item.line,
-                        rule: Rule::BudgetCheck,
-                        message: format!(
-                            "kernel function `{}` loops without polling the execution budget (call `ticker.check()` in the loop, or justify a bound with a suppression)",
-                            item.name
-                        ),
-                    });
-                }
-                continue; // R7 already reported (or waived); no R13 pile-on.
-            }
-            if r7_suppressed {
+            if file.is_suppressed(Rule::PollReachability, item.line) {
                 continue; // The suppression argued a bound for the whole fn.
             }
             let (code, block) = graph.body(i);
             let fa = FlowAnalysis::new(file, code, &all_path_names);
+            // A function that never polls cannot be interrupted at all,
+            // so not even its call-free leaf loops are exempt.
+            let polls = fa.range_polls(block.range);
             for v in fa.loop_verdicts(block) {
-                if !v.satisfied && !file.is_suppressed(Rule::PollReachability, v.line) {
-                    out.push(Violation {
-                        file: f.file.clone(),
-                        line: v.line,
-                        rule: Rule::PollReachability,
-                        message: format!(
-                            "`{}` loop in kernel function `{}` can complete an iteration without reaching a budget poll (poll on every non-exit path — a conditional `.check(` does not cover the fallthrough — or justify with a suppression)",
-                            v.keyword, item.name
-                        ),
-                    });
+                if (polls && v.satisfied) || file.is_suppressed(Rule::PollReachability, v.line) {
+                    continue;
                 }
+                out.push(Violation {
+                    file: f.file.clone(),
+                    line: v.line,
+                    rule: Rule::PollReachability,
+                    message: format!(
+                        "`{}` loop in kernel function `{}` can complete an iteration without reaching a budget poll (poll on every non-exit path — a conditional `.check(` does not cover the fallthrough — or justify with a suppression on the loop or the fn)",
+                        v.keyword, item.name
+                    ),
+                });
             }
         }
     }

@@ -4,17 +4,17 @@
 //! functions (with parsed parameter and return types), structs, enums,
 //! traits, impl blocks (with the implemented trait's name), modules,
 //! consts, statics, type aliases and `use` declarations — each with its
-//! visibility, doc-comment attachment, `#[cfg(test)]` containment, inline
-//! module path and exact token extent. Rules R4/R7/R8/R9 consume these
-//! spans instead of line heuristics, R10's cast audit uses the parameter
-//! and return types for local type inference, and R12 renders the public
-//! items into the committed API-surface baselines.
+//! visibility, `#[cfg(test)]` containment, inline module path and exact
+//! token extent. Rules R8/R9/R13 consume these spans instead of line
+//! heuristics, R10's cast audit uses the parameter and return types for
+//! local type inference, and R12 renders the public items into the
+//! committed API-surface baselines.
 //!
 //! The scanner recurses into `mod`, `impl` and `trait` bodies (their
 //! members are independently addressable items) but treats a function
 //! body as opaque: nested helper functions are not API and fold into the
 //! enclosing function's extent, which is exactly the lexical containment
-//! R7's loop/poll check asks for.
+//! R13's loop/poll check asks for.
 
 use crate::lex::{Token, TokenKind};
 
@@ -75,8 +75,6 @@ pub struct Item {
     pub span: (usize, usize),
     /// Token index at which the signature ends: the body `{` or the `;`.
     pub sig_end: usize,
-    /// Whether a doc comment (`///`, `/** */`, `#[doc…]`) is attached.
-    pub has_doc: bool,
     /// Whether the item lies under `#[cfg(test)]` / `#[test]` (its own
     /// attributes or an enclosing module's).
     pub in_test: bool,
@@ -176,7 +174,6 @@ const MODIFIERS: &[&str] = &["const", "async", "unsafe", "extern", "default"];
 type ParsedItem = (Item, Option<(usize, usize)>, usize);
 
 /// Tries to parse one item starting at `code[ci]`.
-#[allow(clippy::too_many_lines)]
 fn parse_item(
     tokens: &[Token],
     code: &[usize],
@@ -187,18 +184,12 @@ fn parse_item(
     let mut j = ci;
     let mut in_test = scope.in_test;
 
-    // Attributes: `#[…]` (outer) and `#![…]` (inner, skipped). An inner
-    // attribute belongs to the enclosing module, not the item after it,
-    // so it resets doc attachment: `//!` docs and `#![forbid(…)]` above
-    // a declaration must not count as that declaration's docs.
-    let mut saw_attr_doc = false;
-    let mut doc_anchor = ci;
+    // Attributes: `#[…]` (outer) and `#![…]` (inner, skipped; it
+    // belongs to the enclosing module, not the item after it).
     while j < ci_end && tokens[code[j]].is_punct("#") {
         let mut k = j + 1;
-        let mut inner = false;
         if k < ci_end && tokens[code[k]].is_punct("!") {
             k += 1;
-            inner = true;
         }
         if k >= ci_end || !tokens[code[k]].is_punct("[") {
             return None;
@@ -221,23 +212,13 @@ fn parse_item(
         if attr_cfg_test(tokens, code, attr_start, k) {
             in_test = true;
         }
-        if !inner && (attr_start + 1..k).any(|i| tokens[code[i]].is_ident("doc")) {
-            saw_attr_doc = true;
-        }
         j = k + 1;
-        if inner {
-            saw_attr_doc = false;
-            doc_anchor = j;
-        }
     }
     if j >= ci_end {
         return None;
     }
 
-    // Doc attachment: an attribute-doc, or a DocComment token directly
-    // above the declaration (only comments/attributes between).
     let decl_tok = code[j];
-    let has_doc = saw_attr_doc || doc_comment_above(tokens, code[doc_anchor]);
 
     // Visibility.
     let mut vis = Visibility::Private;
@@ -387,7 +368,6 @@ fn parse_item(
         line: tokens[decl_tok].line,
         span: (code[ci], code[end_ci.min(ci_end - 1)]),
         sig_end: code[sig_end_ci.min(ci_end - 1)],
-        has_doc,
         in_test,
         module_path: scope.module_path.clone(),
         owner: if kind == ItemKind::Impl {
@@ -451,37 +431,6 @@ fn attr_cfg_test(tokens: &[Token], code: &[usize], start: usize, end: usize) -> 
             if !negated && (has_cfg || end - start <= 3) {
                 return true; // `#[cfg(test)]`, `#[cfg(any(test,…))]`, `#[test]`
             }
-        }
-    }
-    false
-}
-
-/// Whether a `///`-style doc comment is attached directly above token
-/// index `first` (the item's first token, attributes included): walk
-/// backward over comments and attribute tokens only.
-fn doc_comment_above(tokens: &[Token], first: usize) -> bool {
-    let mut i = first;
-    let mut bracket = 0i32;
-    while i > 0 {
-        i -= 1;
-        let t = &tokens[i];
-        match t.kind {
-            TokenKind::DocComment => return true,
-            TokenKind::Comment | TokenKind::InnerDocComment => continue,
-            TokenKind::Punct => match t.text.as_str() {
-                "]" => bracket += 1,
-                "[" => {
-                    bracket -= 1;
-                    if bracket < 0 {
-                        return false;
-                    }
-                }
-                "#" | "!" => continue,
-                _ if bracket > 0 => continue,
-                _ => return false,
-            },
-            _ if bracket > 0 => continue,
-            _ => return false,
         }
     }
     false
@@ -763,8 +712,6 @@ pub use std::collections::HashMap;
         assert_eq!(names[3], ("S", ItemKind::Struct, Visibility::Pub));
         assert_eq!(names[4], ("E", ItemKind::Enum, Visibility::Pub));
         assert_eq!(names[5], ("K", ItemKind::Const, Visibility::Pub));
-        assert!(it[0].has_doc);
-        assert!(!it[1].has_doc);
         assert_eq!(it[0].line, 2);
     }
 

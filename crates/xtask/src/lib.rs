@@ -5,23 +5,28 @@
 //! clippy) cannot express, enforced by `cargo run -p nsky-xtask -- lint`
 //! and by `scripts/verify.sh`. See DESIGN.md §8 for the policy table.
 //!
+//! Policies a stock lint can express are not re-implemented here. The
+//! retired codes point at their replacements: R2 `panic-free` and R5
+//! `no-stdout` are clippy's `unwrap_used`/`expect_used`/`panic`/
+//! `print_stdout`/`print_stderr`/`exit`, warned at each library crate
+//! root (`clippy.toml` exempts tests); R3 `safety-comment` is
+//! `unsafe_code = "forbid"` plus `clippy::undocumented_unsafe_blocks`;
+//! R4 `doc-public` is `missing_docs` plus `unreachable_pub`; R7
+//! `budget-check` folded into R13. Those codes, like R16's, stay
+//! unassigned.
+//!
 //! The rules:
 //!
 //! | rule | name | what it enforces |
 //! |------|------|------------------|
 //! | R1 | `no-registry-deps`  | library crates declare zero registry dependencies (workspace-path deps only), keeping tier-1 resolvable offline |
-//! | R2 | `panic-free`        | no `unwrap()` / `expect(` / `panic!(` / `todo!` in non-test library code |
-//! | R3 | `safety-comment`    | every `unsafe` token is preceded by a `// SAFETY:` comment |
-//! | R4 | `doc-public`        | every `pub fn` / `pub struct` / `pub enum` in library crates carries a doc comment |
-//! | R5 | `no-stdout`         | no `println!` / `eprintln!` / `process::exit` in library crates (bench/cli/examples are exempt) |
 //! | R6 | `design-drift`      | ablation/config flags named in DESIGN.md §6 exist in source |
-//! | R7 | `budget-check`      | loop-bearing functions in kernel modules poll the execution budget (`.check(`) |
 //! | R8 | `snapshot-versioned` | every `impl KernelState for` block declares a `FORMAT_VERSION` const and calls `expect_version(` in `decode` |
 //! | R9 | `obs-instrumented`  | every kernel module exposes at least one public entry point whose signature takes an `ExecutionContext` (or, for the server engine, a `Recorder`) |
 //! | R10 | `cast-audit`       | potentially-lossy `as` casts in library crates carry a `// CAST: <why in range>` justification (or use `try_from`/`From`) |
 //! | R11 | `atomic-ordering`  | atomic ops in the concurrency modules name their `Ordering` explicitly with an `// ORDERING:` rationale; `Relaxed` on cross-thread completion/cancel flags is an error |
 //! | R12 | `api-surface`      | each library crate's public-item surface matches its committed `api/<crate>.surface` baseline (`cargo xtask api --bless` to accept changes) |
-//! | R13 | `poll-reachability` | every loop body in kernel modules reaches a budget poll on all non-early-exit paths, transitively through helpers (flow-aware upgrade of R7, which stays as the fast pre-pass) |
+//! | R13 | `poll-reachability` | every loop body in kernel modules reaches a budget poll on all non-early-exit paths, transitively through helpers; a suppression on the fn line waives all of its loops |
 //! | R14 | `bounded-recursion` | recursion cycles in the kernel crates carry a depth/budget parameter or a `// RECURSION:` termination argument |
 //! | R15 | `hot-loop-alloc`   | loop bodies in `// HOT:`-marked functions do not allocate without an `// ALLOC:` justification |
 //! | R17 | `lock-order`       | the acquired-while-holding graph over the named `Mutex` fields is acyclic; `cargo xtask locks --check` diffs it against the committed `api/locks.report` |
@@ -33,7 +38,7 @@
 //! carrying a justification:
 //!
 //! ```text
-//! // nsky-lint: allow(panic-free) — invariant: pool ≥ k, established above
+//! // nsky-lint: allow(cast-audit) — invariant: pool ≤ n, and n fits in u32
 //! ```
 //!
 //! (`#` comments in `Cargo.toml` use the same syntax.) The suppression
@@ -58,8 +63,6 @@
 //! about *paths* (does every continuing path through this loop body
 //! reach a poll?) rather than token presence.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -82,10 +85,10 @@ pub use items::{scan_items, Item, ItemKind, Visibility};
 pub use lex::{lex, Token, TokenKind};
 pub use source::SourceFile;
 
-/// Crates that must obey the library policy rules (R1, R2, R4, R5).
-/// `bench`, `cli` and `xtask` itself are tools: they may print, exit and
-/// pull workspace dev-paths, but they still get R3 and the workspace
-/// lint tables.
+/// The library crates: the ones the source rules scan, and whose
+/// `lib.rs` warns clippy's panic/console lints. `bench`, `cli` and
+/// `xtask` itself are tools: they may print, exit and pull workspace
+/// dev-paths, but they still get the workspace lint tables.
 pub const LIBRARY_CRATES: &[&str] = &[
     "graph",
     "bloom",
@@ -102,20 +105,8 @@ pub const LIBRARY_CRATES: &[&str] = &[
 pub enum Rule {
     /// R1: library crates declare zero registry dependencies.
     NoRegistryDeps,
-    /// R2: no `unwrap()`/`expect(`/`panic!(`/`todo!` in non-test library code.
-    PanicFree,
-    /// R3: every `unsafe` token is preceded by a `// SAFETY:` comment.
-    SafetyComment,
-    /// R4: every `pub fn`/`pub struct`/`pub enum` in library crates is documented.
-    DocPublic,
-    /// R5: no `println!`/`eprintln!`/`process::exit` in library crates.
-    NoStdout,
     /// R6: DESIGN.md §6 ablation/config flags exist in source.
     DesignDrift,
-    /// R7: loop-bearing functions in kernel modules poll the execution
-    /// budget via `.check(` (or carry a justified suppression), so every
-    /// kernel stays cancellable within one check interval.
-    BudgetCheck,
     /// R8: every `impl KernelState for` block carries a `FORMAT_VERSION`
     /// const and checks it on decode via `expect_version(` (or carries a
     /// justified suppression), so no snapshot state can be deserialized
@@ -147,8 +138,9 @@ pub enum Rule {
     /// all non-early-exit paths — a `.check(` that only executes inside
     /// one branch arm does not cover the fallthrough iteration. Polls
     /// are credited transitively through helper calls whose own bodies
-    /// poll on all paths (bounded call depth). Runs only on functions
-    /// that already pass the lexical R7 pre-pass unsuppressed.
+    /// poll on all paths (bounded call depth). A function that never
+    /// polls gets one finding per loop; a suppression on its `fn` line
+    /// argues a bound for the whole function and waives all of them.
     PollReachability,
     /// R14: any recursion cycle in the kernel crates' call graph must
     /// carry a depth/budget/fuel parameter (or a `BudgetTicker`/
@@ -193,12 +185,7 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoRegistryDeps => "no-registry-deps",
-            Rule::PanicFree => "panic-free",
-            Rule::SafetyComment => "safety-comment",
-            Rule::DocPublic => "doc-public",
-            Rule::NoStdout => "no-stdout",
             Rule::DesignDrift => "design-drift",
-            Rule::BudgetCheck => "budget-check",
             Rule::SnapshotVersioned => "snapshot-versioned",
             Rule::ObsInstrumented => "obs-instrumented",
             Rule::CastAudit => "cast-audit",
@@ -215,18 +202,13 @@ impl Rule {
     }
 
     /// The short code (`r1` … `r20`) used by `lint --rule` and the
-    /// DESIGN.md §8 table. Codes are fixed, never positional: a retired
-    /// rule's code (`r16`) stays unassigned so later codes keep their
-    /// meaning.
+    /// DESIGN.md §8 table. Codes are fixed, never positional: retired
+    /// rules' codes (`r2`–`r5`, `r7`, `r16`) stay unassigned so later
+    /// codes keep their meaning.
     pub fn code(self) -> &'static str {
         match self {
             Rule::NoRegistryDeps => "r1",
-            Rule::PanicFree => "r2",
-            Rule::SafetyComment => "r3",
-            Rule::DocPublic => "r4",
-            Rule::NoStdout => "r5",
             Rule::DesignDrift => "r6",
-            Rule::BudgetCheck => "r7",
             Rule::SnapshotVersioned => "r8",
             Rule::ObsInstrumented => "r9",
             Rule::CastAudit => "r10",
@@ -251,12 +233,7 @@ impl Rule {
     pub fn all() -> &'static [Rule] {
         &[
             Rule::NoRegistryDeps,
-            Rule::PanicFree,
-            Rule::SafetyComment,
-            Rule::DocPublic,
-            Rule::NoStdout,
             Rule::DesignDrift,
-            Rule::BudgetCheck,
             Rule::SnapshotVersioned,
             Rule::ObsInstrumented,
             Rule::CastAudit,
@@ -316,7 +293,7 @@ impl fmt::Display for Violation {
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut violations = Vec::new();
     violations.extend(rules::check_manifests(root)?);
-    violations.extend(rules::check_sources(root)?);
+    violations.extend(check_bare_suppressions(root)?);
     violations.extend(rules::check_design_drift(root)?);
     violations.extend(flow::check_flow(root)?);
     violations.extend(rules::check_snapshot_versioned(root)?);
@@ -332,6 +309,31 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
             .then(a.rule.name().cmp(b.rule.name()))
     });
     Ok(violations)
+}
+
+/// A suppression without a justification never suppresses; flag every
+/// one in the library crates so it cannot linger as dead policy.
+fn check_bare_suppressions(root: &Path) -> std::io::Result<Vec<Violation>> {
+    let mut out = Vec::new();
+    for (_, src_dir) in library_src_dirs(root) {
+        for path in rust_files(&src_dir)? {
+            let text = std::fs::read_to_string(&path)?;
+            for (idx, raw) in text.lines().enumerate() {
+                let (_, bare) = source::parse_suppressions(raw);
+                for rule in bare.iter().filter_map(|name| Rule::from_name(name)) {
+                    out.push(Violation {
+                        file: rel(root, &path),
+                        line: idx + 1,
+                        rule,
+                        message: format!(
+                            "`nsky-lint: allow({rule})` without a justification (add `— <reason>`)"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Library crate source directories that exist under `root`.

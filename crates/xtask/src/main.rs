@@ -6,8 +6,9 @@
 //! cargo run -p nsky-xtask -- locks [--check | --bless] [--root <path>]
 //! ```
 //!
-//! `lint` runs the repo-specific policy rules (DESIGN.md §8: R1–R15 and
-//! R17–R20; the retired R16 code stays unassigned) against the
+//! `lint` runs the repo-specific policy rules (DESIGN.md §8: R1, R6,
+//! R8–R15 and R17–R20; the retired codes r2–r5, r7 and r16 stay
+//! unassigned, and naming one is a usage error) against the
 //! workspace and exits non-zero if any violation is found;
 //! `--rule` restricts the run to one rule for fast local iteration and
 //! `--json` emits the findings as a checksum-trailed `RunReport`

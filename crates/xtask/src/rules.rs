@@ -1,10 +1,9 @@
-//! The policy rules R1–R9 (see crate docs and DESIGN.md §8).
+//! The policy rules R1, R6, R8 and R9 (see crate docs and DESIGN.md §8).
 //!
 //! Source-level rules run on the lexed token stream and the scanned item
 //! tree ([`crate::lex`], [`crate::items`]) — not on blanked text — so a
-//! pattern like `.unwrap()` is three exact tokens (`.`, `unwrap`, `(`),
-//! never a substring that a string literal or comment could fake. R10
-//! (cast audit), R11 (atomic orderings) and R12 (API surface) live in
+//! string literal or comment can never fake a match. R10 (cast audit),
+//! R11 (atomic orderings) and R12 (API surface) live in
 //! [`crate::casts`], [`crate::atomics`] and [`crate::surface`].
 
 use std::path::Path;
@@ -74,184 +73,6 @@ fn manifest_suppressed(man: &Manifest, rule: Rule, lineno: usize) -> bool {
         })
     };
     hit(lineno - 1) || (lineno >= 2 && hit(lineno - 2))
-}
-
-/// Source-level rules R2–R5 over the library crates.
-pub(crate) fn check_sources(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut out = Vec::new();
-    for (crate_name, src_dir) in library_src_dirs(root) {
-        for path in rust_files(&src_dir)? {
-            // `src/bin/*` targets are executables, not library surface.
-            if path
-                .strip_prefix(&src_dir)
-                .is_ok_and(|p| p.starts_with("bin"))
-            {
-                continue;
-            }
-            let text = std::fs::read_to_string(&path)?;
-            let file = SourceFile::scan(&text);
-            check_file(root, &crate_name, &path, &file, &mut out);
-            if path.file_name().is_some_and(|f| f == "lib.rs") {
-                check_forbids_unsafe(root, &crate_name, &path, &file, &mut out);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The R2/R5 token patterns: `(what, rule)` where `what` names the match
-/// for the report.
-type TokenPattern = (&'static str, Rule);
-
-/// Matches one banned construct at code position `k`. Returns the
-/// pattern label on a hit.
-fn banned_at(tokens: &[Token], code: &[usize], k: usize) -> Option<TokenPattern> {
-    let t = &tokens[code[k]];
-    let prev = |n: usize| k.checked_sub(n).map(|i| &tokens[code[i]]);
-    let next = |n: usize| code.get(k + n).map(|&i| &tokens[i]);
-    let method_call = |name: &str| {
-        t.is_ident(name)
-            && prev(1).is_some_and(|p| p.is_punct("."))
-            && next(1).is_some_and(|n| n.is_punct("("))
-    };
-    let macro_call = |name: &str| t.is_ident(name) && next(1).is_some_and(|n| n.is_punct("!"));
-    if method_call("unwrap") {
-        Some((".unwrap()", Rule::PanicFree))
-    } else if method_call("expect") {
-        Some((".expect(", Rule::PanicFree))
-    } else if macro_call("panic") {
-        Some(("panic!(", Rule::PanicFree))
-    } else if macro_call("todo") {
-        Some(("todo!", Rule::PanicFree))
-    } else if macro_call("println") {
-        Some(("println!", Rule::NoStdout))
-    } else if macro_call("eprintln") {
-        Some(("eprintln!", Rule::NoStdout))
-    } else if t.is_ident("process")
-        && next(1).is_some_and(|n| n.is_punct("::"))
-        && next(2).is_some_and(|n| n.is_ident("exit"))
-    {
-        Some(("process::exit", Rule::NoStdout))
-    } else {
-        None
-    }
-}
-
-/// Runs the per-file rules R2–R5 against one scanned library source.
-fn check_file(
-    root: &Path,
-    crate_name: &str,
-    path: &Path,
-    file: &SourceFile,
-    out: &mut Vec<Violation>,
-) {
-    // A suppression without a justification never suppresses; flag it so
-    // it cannot linger as dead policy.
-    for (idx, line) in file.lines.iter().enumerate() {
-        for name in &line.bare {
-            if let Some(rule) = Rule::from_name(name) {
-                out.push(Violation {
-                    file: rel(root, path),
-                    line: idx + 1,
-                    rule,
-                    message: format!(
-                        "`nsky-lint: allow({name})` without a justification (add `— <reason>`)"
-                    ),
-                });
-            }
-        }
-    }
-
-    let code = file.code_indices();
-    for k in 0..code.len() {
-        let t = &file.tokens[code[k]];
-        let lineno = t.line;
-
-        // R2 / R5: panicking escape hatches and console output.
-        if !file.in_test(lineno) {
-            if let Some((pat, rule)) = banned_at(&file.tokens, &code, k) {
-                if !file.is_suppressed(rule, lineno) {
-                    let message = match rule {
-                        Rule::PanicFree => format!(
-                            "`{pat}` in non-test library code of `{crate_name}` (return an error, restructure, or justify with a suppression)"
-                        ),
-                        _ => format!("`{pat}` in library crate `{crate_name}`"),
-                    };
-                    out.push(Violation {
-                        file: rel(root, path),
-                        line: lineno,
-                        rule,
-                        message,
-                    });
-                }
-            }
-        }
-
-        // R3: `unsafe` (an exact keyword token — never a substring of an
-        // identifier, string or comment) needs a `// SAFETY:` comment.
-        if t.is_ident("unsafe")
-            && !file.comment_marker_near("SAFETY:", lineno, 3)
-            && !file.is_suppressed(Rule::SafetyComment, lineno)
-        {
-            out.push(Violation {
-                file: rel(root, path),
-                line: lineno,
-                rule: Rule::SafetyComment,
-                message: "`unsafe` without a preceding `// SAFETY:` comment".to_string(),
-            });
-        }
-    }
-
-    // R4: undocumented public items, from the item scan (exact
-    // visibility and doc attachment, multi-line declarations included).
-    for item in &file.items {
-        if item.vis == Visibility::Pub
-            && matches!(item.kind, ItemKind::Fn | ItemKind::Struct | ItemKind::Enum)
-            && !item.in_test
-            && !item.has_doc
-            && !file.is_suppressed(Rule::DocPublic, item.line)
-        {
-            out.push(Violation {
-                file: rel(root, path),
-                line: item.line,
-                rule: Rule::DocPublic,
-                message: format!(
-                    "undocumented public item in `{crate_name}`: `pub {}`",
-                    item.signature
-                ),
-            });
-        }
-    }
-}
-
-/// R3's crate-level half: every library crate root must carry
-/// `#![forbid(unsafe_code)]`, so the absence of `unsafe` is a compiler
-/// guarantee, not a grep result. A crate with a sanctioned `unsafe`
-/// block would instead justify a suppression on line 1.
-fn check_forbids_unsafe(
-    root: &Path,
-    crate_name: &str,
-    path: &Path,
-    file: &SourceFile,
-    out: &mut Vec<Violation>,
-) {
-    let code = file.code_indices();
-    let has_forbid = (0..code.len()).any(|k| {
-        file.tokens[code[k]].is_ident("forbid")
-            && code
-                .get(k + 2)
-                .is_some_and(|&i| file.tokens[i].is_ident("unsafe_code"))
-    });
-    if !has_forbid && !file.is_suppressed(Rule::SafetyComment, 1) {
-        out.push(Violation {
-            file: rel(root, path),
-            line: 1,
-            rule: Rule::SafetyComment,
-            message: format!(
-                "library crate `{crate_name}` does not `#![forbid(unsafe_code)]` (add the attribute to lib.rs, or justify a suppression on line 1)"
-            ),
-        });
-    }
 }
 
 /// R6 `design-drift`: every ablation/config identifier named in
@@ -332,10 +153,10 @@ fn backtick_spans(line: &str) -> Vec<&str> {
     line.split('`').skip(1).step_by(2).collect()
 }
 
-/// R7 `budget-check` / R13 `poll-reachability`: the kernel modules whose
-/// hot loops the execution budget must be able to interrupt (workspace-
-/// relative paths; a fixture or partial workspace simply omits the ones
-/// it does not exercise). Both rules run in [`crate::flow`].
+/// R13 `poll-reachability`: the kernel modules whose hot loops the
+/// execution budget must be able to interrupt (workspace-relative paths;
+/// a fixture or partial workspace simply omits the ones it does not
+/// exercise). The rule runs in [`crate::flow`].
 pub(crate) const KERNEL_MODULES: &[&str] = &[
     "crates/core/src/base.rs",
     "crates/core/src/refine.rs",
@@ -405,7 +226,7 @@ pub(crate) fn check_snapshot_versioned(root: &Path) -> std::io::Result<Vec<Viola
 }
 
 /// R9 `obs-instrumented`: the modules that must expose an instrumented
-/// entry point — the R7 kernel modules plus the two NeiSky application
+/// entry point — the R13 kernel modules plus the two NeiSky application
 /// modules (whose hot loops live in the kernels they call, but whose
 /// entry points are what the CLI and benches time).
 const OBS_MODULES: &[&str] = &[
@@ -476,69 +297,6 @@ mod tests {
         SourceFile::scan(src)
     }
 
-    fn hits(src: &str) -> Vec<&'static str> {
-        let f = scan(src);
-        let code = f.code_indices();
-        (0..code.len())
-            .filter_map(|k| banned_at(&f.tokens, &code, k).map(|(pat, _)| pat))
-            .collect()
-    }
-
-    #[test]
-    fn banned_patterns_are_token_exact() {
-        assert_eq!(hits("x.unwrap();"), vec![".unwrap()"]);
-        assert_eq!(hits("x.expect(\"why\");"), vec![".expect("]);
-        assert_eq!(hits("panic!(\"boom\");"), vec!["panic!("]);
-        assert_eq!(hits("todo!()"), vec!["todo!"]);
-        assert_eq!(hits("println!(\"x\")"), vec!["println!"]);
-        assert_eq!(hits("eprintln!(\"x\")"), vec!["eprintln!"]);
-        assert_eq!(hits("std::process::exit(1)"), vec!["process::exit"]);
-    }
-
-    #[test]
-    fn strings_comments_and_lookalikes_do_not_hit() {
-        assert!(hits("let s = \".unwrap()\";").is_empty());
-        assert!(hits("// panic!(\"doc\")").is_empty());
-        assert!(hits("/* todo! */").is_empty());
-        assert!(hits("let unwrap = 1; unwrap_all();").is_empty());
-        assert!(hits("self.expectation(x)").is_empty());
-        assert!(
-            hits("my_println!(\"not std\")").is_empty(),
-            "macro name must match exactly"
-        );
-        assert!(hits("x.unwrap_or(0)").is_empty());
-    }
-
-    #[test]
-    fn multiline_method_calls_hit() {
-        // rustfmt can split `.unwrap()` onto its own line; tokens don't care.
-        assert_eq!(hits("x\n    .unwrap();"), vec![".unwrap()"]);
-    }
-
-    #[test]
-    fn forbid_unsafe_detection() {
-        let mut out = Vec::new();
-        let f = scan("#![forbid(unsafe_code)]\npub fn f() {}\n");
-        check_forbids_unsafe(
-            Path::new("/r"),
-            "core",
-            Path::new("/r/lib.rs"),
-            &f,
-            &mut out,
-        );
-        assert!(out.is_empty());
-        let f = scan("//! docs only\npub fn f() {}\n");
-        check_forbids_unsafe(
-            Path::new("/r"),
-            "core",
-            Path::new("/r/lib.rs"),
-            &f,
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::SafetyComment);
-    }
-
     #[test]
     fn loop_and_check_span_facts() {
         let src = "\
@@ -556,7 +314,6 @@ fn foreach_free() { xs.iter().for_each(|x| f(x)); }
         let f = scan(src);
         let fns: Vec<&Item> = f.items.iter().filter(|i| i.kind == ItemKind::Fn).collect();
         assert!(span_has_loop(&f, fns[0]));
-        assert!(crate::callgraph::has_poll_primitive(&f, fns[0].span));
         assert!(
             !span_has_loop(&f, fns[1]),
             "workforce() is not a loop keyword"

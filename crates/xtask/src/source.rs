@@ -26,9 +26,6 @@ pub struct Line {
     pub raw: String,
     /// Rule names suppressed on this line via `nsky-lint: allow(...)`.
     pub suppressed: Vec<String>,
-    /// Rule names in suppression comments that carried no justification
-    /// (these do not suppress, and are themselves flagged).
-    pub bare: Vec<String>,
 }
 
 /// A scanned file: raw lines with suppressions, the lexed token stream,
@@ -53,11 +50,10 @@ impl SourceFile {
         let lines: Vec<Line> = text
             .lines()
             .map(|raw| {
-                let (suppressed, bare) = parse_suppressions(raw);
+                let (suppressed, _) = parse_suppressions(raw);
                 Line {
                     raw: raw.to_string(),
                     suppressed,
-                    bare,
                 }
             })
             .collect();
@@ -215,20 +211,20 @@ fn real() {}
 
     #[test]
     fn suppression_requires_justification() {
-        let (s, bare) = parse_suppressions("x(); // nsky-lint: allow(panic-free) — invariant");
-        assert_eq!(s, vec!["panic-free".to_string()]);
+        let (s, bare) = parse_suppressions("x(); // nsky-lint: allow(cast-audit) — invariant");
+        assert_eq!(s, vec!["cast-audit".to_string()]);
         assert!(bare.is_empty());
-        let (s, bare) = parse_suppressions("x(); // nsky-lint: allow(panic-free)");
+        let (s, bare) = parse_suppressions("x(); // nsky-lint: allow(cast-audit)");
         assert!(s.is_empty());
-        assert_eq!(bare, vec!["panic-free".to_string()]);
+        assert_eq!(bare, vec!["cast-audit".to_string()]);
     }
 
     #[test]
     fn suppression_applies_to_line_below() {
-        let src = "// nsky-lint: allow(panic-free) — fine here\nx.unwrap();\n";
+        let src = "// nsky-lint: allow(cast-audit) — fine here\nlet n = len as u32;\n";
         let f = SourceFile::scan(src);
-        assert!(f.is_suppressed(Rule::PanicFree, 2));
-        assert!(!f.is_suppressed(Rule::NoStdout, 2));
+        assert!(f.is_suppressed(Rule::CastAudit, 2));
+        assert!(!f.is_suppressed(Rule::HotLoopAlloc, 2));
     }
 
     #[test]

@@ -51,13 +51,6 @@ fn resolution_prefers_same_file_then_same_crate_then_unique() {
 #[test]
 fn transitive_polling_facts() {
     let g = graph();
-    let any = g.polls_any_names();
-    assert!(any.contains("deep_poll"), "lexical primitive");
-    assert!(any.contains("local_poller"), "one helper hop");
-    assert!(!any.contains("shared"), "non-polling fns stay out");
-    let i = idx(&g, "local_poller", "core");
-    assert!(g.polls_anywhere(i, &any));
-
     let all = g.polls_all_paths_names();
     assert!(
         all.contains("deep_poll"),

@@ -1,13 +1,14 @@
 //! Fixture-based self-tests for the policy lint engine: one
 //! true-positive and one true-negative miniature workspace per rule
-//! R1–R11, R13–R15 and R17–R20, a baseline-drift workspace for R12, CLI
+//! R1, R6, R8–R11, R13–R15 and R17–R20 (plus the never-polling `r7_*`
+//! pair R13 absorbed), a baseline-drift workspace for R12, CLI
 //! exit-code / `--json` / `--rule` contract checks, and the
 //! capstone assertion that the real workspace is lint-clean.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use nsky_xtask::{lint_workspace, Rule, Violation};
+use nsky_xtask::{lex, lint_workspace, Rule, Violation, LIBRARY_CRATES};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -61,62 +62,6 @@ fn r1_workspace_path_deps_clean() {
 }
 
 #[test]
-fn r2_panics_flagged() {
-    let violations = assert_only_rule("r2_bad", Rule::PanicFree);
-    // unwrap, expect, panic!, todo! — one site each.
-    assert_eq!(violations.len(), 4);
-}
-
-#[test]
-fn r2_tests_strings_docs_and_suppressions_clean() {
-    assert_clean("r2_good");
-}
-
-#[test]
-fn r3_unsafe_without_safety_flagged() {
-    let violations = assert_only_rule("r3_bad", Rule::SafetyComment);
-    // The uncommented `unsafe` block, plus the missing crate-level
-    // `#![forbid(unsafe_code)]` (a crate with unsafe cannot carry it).
-    assert_eq!(violations.len(), 2);
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.message.contains("#![forbid(unsafe_code)]")),
-        "the forbid-attribute check fires on lib.rs"
-    );
-}
-
-#[test]
-fn r3_safety_commented_clean() {
-    assert_clean("r3_good");
-}
-
-#[test]
-fn r4_undocumented_public_items_flagged() {
-    let violations = assert_only_rule("r4_bad", Rule::DocPublic);
-    // pub fn + pub struct + pub enum.
-    assert_eq!(violations.len(), 3);
-}
-
-#[test]
-fn r4_documented_and_non_public_clean() {
-    assert_clean("r4_good");
-}
-
-#[test]
-fn r5_console_output_flagged() {
-    let violations = assert_only_rule("r5_bad", Rule::NoStdout);
-    // println!, eprintln!, process::exit in `datasets`, println! in the
-    // `server` library file.
-    assert_eq!(violations.len(), 4);
-}
-
-#[test]
-fn r5_quiet_library_and_exempt_cli_clean() {
-    assert_clean("r5_good");
-}
-
-#[test]
 fn r6_design_drift_flagged() {
     let violations = assert_only_rule("r6_bad", Rule::DesignDrift);
     assert_eq!(violations.len(), 1);
@@ -129,9 +74,12 @@ fn r6_documented_flags_present_clean() {
     assert_clean("r6_good");
 }
 
+/// The former R7 `budget-check` fixtures, now judged by R13: a kernel
+/// function that never polls gets a finding for each of its loops,
+/// call-free leaf loops included.
 #[test]
 fn r7_unticked_kernel_loops_flagged() {
-    let violations = assert_only_rule("r7_bad", Rule::BudgetCheck);
+    let violations = assert_only_rule("r7_bad", Rule::PollReachability);
     // The `for` scan and the `while` drain; the loop-free fn is exempt.
     assert_eq!(violations.len(), 2);
     assert!(violations[0].message.contains("scan_candidates"));
@@ -261,12 +209,12 @@ fn r13_conditional_polls_flagged() {
     assert!(violations[1].file.ends_with("crates/core/src/refine.rs"));
 }
 
-/// The acceptance demo that R13 is strictly stronger than R7: the bad
-/// fixture produces zero `budget-check` findings (its polls exist
-/// lexically, so the pre-pass is satisfied) yet fails
-/// `poll-reachability`; the good fixture's entry loop has no lexical
-/// `.check(` at all — the pre-PR-6 syntactic R7 would have flagged it —
-/// and passes both rules through the helper call chain.
+/// Why R13 could absorb the former lexical R7 pre-pass: every function
+/// in `r13_bad` reaches a poll somewhere (directly or through a helper),
+/// so R7 passed them all, yet R13 finds a loop in each that can skip the
+/// poll; the good fixture's entry loop has no lexical `.check(` at all
+/// and passes through the helper call chain. With `r7_bad` (functions
+/// that never poll) also flagged by R13, R13 covers everything R7 did.
 #[test]
 fn r13_stronger_than_r7() {
     let violations = lint_fixture("r13_bad");
@@ -422,6 +370,79 @@ fn real_workspace_is_lint_clean() {
     );
 }
 
+/// The lines of `[section]` in a TOML file, whitespace removed.
+fn toml_section(text: &str, section: &str) -> Vec<String> {
+    let header = format!("[{section}]");
+    text.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .map(|l| l.split_whitespace().collect())
+        .collect()
+}
+
+/// The retired panic/console/unsafe/doc rules now live in stock lints;
+/// deleting one of these lines would silently drop that coverage.
+#[test]
+fn stock_policy_lints_stay_configured() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |p: &Path| std::fs::read_to_string(p).expect("config file readable");
+
+    let manifest = read(&root.join("Cargo.toml"));
+    let rust = toml_section(&manifest, "workspace.lints.rust");
+    for entry in [
+        r#"unsafe_code="forbid""#,
+        r#"missing_docs="warn""#,
+        r#"unreachable_pub="warn""#,
+    ] {
+        assert!(
+            rust.iter().any(|l| l == entry),
+            "[workspace.lints.rust] lacks {entry}"
+        );
+    }
+    let clippy = toml_section(&manifest, "workspace.lints.clippy");
+    for entry in [
+        r#"undocumented_unsafe_blocks="warn""#,
+        r#"allow_attributes_without_reason="warn""#,
+    ] {
+        assert!(
+            clippy.iter().any(|l| l == entry),
+            "[workspace.lints.clippy] lacks {entry}"
+        );
+    }
+
+    let clippy_toml = read(&root.join("clippy.toml"));
+    for kind in ["unwrap", "expect", "panic"] {
+        let entry = format!("allow-{kind}-in-tests=true");
+        assert!(
+            clippy_toml
+                .lines()
+                .any(|l| l.split_whitespace().collect::<String>() == entry),
+            "clippy.toml lacks {entry}"
+        );
+    }
+
+    let attribute = "#![warn(clippy::unwrap_used,clippy::expect_used,clippy::panic,\
+                     clippy::print_stdout,clippy::print_stderr,clippy::exit)]";
+    for name in LIBRARY_CRATES {
+        let krate = root.join("crates").join(name);
+        let lints = toml_section(&read(&krate.join("Cargo.toml")), "lints");
+        assert!(
+            lints.iter().any(|l| l == "workspace=true"),
+            "crates/{name} does not inherit the workspace lints"
+        );
+        let code: String = lex(&read(&krate.join("src/lib.rs")))
+            .iter()
+            .filter(|t| !t.is_comment())
+            .map(|t| t.text.as_str())
+            .collect();
+        assert!(
+            code.contains(attribute),
+            "crates/{name}/src/lib.rs lacks {attribute}"
+        );
+    }
+}
+
 /// CLI contract: exit 0 on a clean root, exit 1 on each true-positive
 /// fixture, violations printed as `file:line: [rule] message`.
 #[test]
@@ -429,10 +450,6 @@ fn cli_exit_codes_match_findings() {
     let bin = env!("CARGO_BIN_EXE_nsky-xtask");
     for bad in [
         "r1_bad",
-        "r2_bad",
-        "r3_bad",
-        "r4_bad",
-        "r5_bad",
         "r6_bad",
         "r7_bad",
         "r8_bad",
@@ -462,9 +479,8 @@ fn cli_exit_codes_match_findings() {
         );
     }
     for good in [
-        "r1_good", "r2_good", "r3_good", "r4_good", "r5_good", "r6_good", "r7_good", "r8_good",
-        "r9_good", "r10_good", "r11_good", "r13_good", "r14_good", "r15_good", "r17_good",
-        "r18_good", "r19_good", "r20_good",
+        "r1_good", "r6_good", "r7_good", "r8_good", "r9_good", "r10_good", "r11_good", "r13_good",
+        "r14_good", "r15_good", "r17_good", "r18_good", "r19_good", "r20_good",
     ] {
         let out = Command::new(bin)
             .args(["lint", "--root"])
@@ -504,7 +520,7 @@ fn cli_lint_json_roundtrips_through_checksum_decoder() {
             .unwrap_or_else(|| panic!("counter {name} present"))
     };
     assert_eq!(counter("poll-reachability"), 3);
-    assert_eq!(counter("budget-check"), 0);
+    assert_eq!(counter("bounded-recursion"), 0);
     assert_eq!(counter("total"), 3);
     assert_eq!(report.events.len(), 3);
     assert!(
@@ -521,11 +537,12 @@ fn cli_lint_json_roundtrips_through_checksum_decoder() {
 }
 
 /// `lint --rule` filters the findings (and the exit code) to one rule,
-/// addressable by its code or by name.
+/// addressable by its code or by name; a retired code is a usage error
+/// whose message lists the valid codes.
 #[test]
 fn cli_lint_rule_filter() {
     let bin = env!("CARGO_BIN_EXE_nsky-xtask");
-    // r13_bad has only poll-reachability findings: filtering to R7
+    // r13_bad has only poll-reachability findings: filtering to R14
     // passes, filtering to R13 (by code and by name) fails.
     let run = |rule: &str| {
         Command::new(bin)
@@ -534,11 +551,29 @@ fn cli_lint_rule_filter() {
             .output()
             .expect("lint --rule runs")
     };
-    assert_eq!(run("budget-check").status.code(), Some(0));
+    assert_eq!(run("bounded-recursion").status.code(), Some(0));
     assert_eq!(run("r13").status.code(), Some(1));
     assert_eq!(run("poll-reachability").status.code(), Some(1));
     let out = run("nonsense");
     assert_eq!(out.status.code(), Some(2), "unknown rule is a usage error");
+    for retired in [
+        "r2",
+        "r3",
+        "r4",
+        "r5",
+        "r7",
+        "r16",
+        "budget-check",
+        "panic-free",
+    ] {
+        let out = run(retired);
+        assert_eq!(out.status.code(), Some(2), "{retired} is retired");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("r1, r6, r8,") && stderr.contains("r13"),
+            "the usage error lists the valid codes: {stderr}"
+        );
+    }
 }
 
 /// `api --check` is its own CLI entry point: exit 1 on the injected

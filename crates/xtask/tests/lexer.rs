@@ -167,23 +167,23 @@ pub fn real() {}
         .find(|i| i.kind == ItemKind::Fn)
         .expect("one real fn");
     assert_eq!(f.name, "real");
-    assert!(f.has_doc);
     assert_eq!(f.vis, Visibility::Pub);
     assert!(!items.iter().any(|i| i.name == "fake"));
 }
 
 #[test]
-fn inner_attribute_does_not_steal_the_next_items_doc() {
-    let src = "//! Module docs.\n\n#![forbid(unsafe_code)]\n\n/// Doc.\npub fn f() {}\n";
+fn inner_attribute_stays_off_the_next_item() {
+    let src = "//! Module docs.\n\n#![warn(missing_docs)]\n\n/// Doc.\npub fn f() {}\n";
     let items = scan_items(&lex(src));
-    let f = items.iter().find(|i| i.name == "f").expect("scanned");
-    assert!(f.has_doc, "the /// between attribute and fn attaches to fn");
-
-    // And module docs alone do not count as the item's docs.
-    let src = "//! Module docs.\n#![forbid(unsafe_code)]\npub fn g() {}\n";
-    let items = scan_items(&lex(src));
-    let g = items.iter().find(|i| i.name == "g").expect("scanned");
-    assert!(!g.has_doc, "//! and #![…] belong to the module, not `g`");
+    assert_eq!(items.len(), 1, "the inner attribute is not an item");
+    let f = &items[0];
+    assert_eq!(f.name, "f");
+    assert_eq!(f.line, 6, "the declaration line, not the attribute's");
+    assert_eq!(f.vis, Visibility::Pub);
+    assert_eq!(
+        f.signature, "fn f()",
+        "no attribute tokens in the signature"
+    );
 }
 
 #[test]

@@ -75,6 +75,8 @@ step cargo test -q -p nsky-integration --test server_faults
 # end to end with a fault mix and exit zero (healthy requests all
 # succeed) even in quick mode.
 step env NSKY_QUICK=1 cargo run -q --release -p nsky-server --bin nsky-loadgen -- --fault-mix 10
+# Same smoke for the `dominates` op, whose requests carry a vertex pair.
+step env NSKY_QUICK=1 cargo run -q --release -p nsky-server --bin nsky-loadgen -- --op dominates
 
 echo
 echo "verify: all gates passed"

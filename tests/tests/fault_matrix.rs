@@ -327,7 +327,10 @@ fn run_matrix<T>(case: MatrixCase<'_, T>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one matrix cell needs the case, its faults and every pre-built checkpoint image"
+)]
 fn run_cell<T>(
     case: &MatrixCase<'_, T>,
     faults: &[Fault],

@@ -96,6 +96,50 @@ fn assert_same_skyline(label: &str, a: &SkylineResult, b: &SkylineResult) {
 /// candidate pairs, the bloom filter's hit/reject split accounts for
 /// every containment query, and the recorder's table equals the stats
 /// struct counter-for-counter.
+/// The accounting identities every FilterRefineSky run satisfies, and
+/// the bulk flush mirroring its stats struct exactly.
+fn assert_skyline_accounting(label: &str, n: u64, out: &SkylineResult, rec: &CountingRecorder) {
+    assert_eq!(out.completion, Completion::Complete, "{label}");
+    let stats = &out.stats;
+
+    // The filter phase may only over-approximate the skyline.
+    assert!(
+        stats.candidate_count >= out.skyline.len(),
+        "{label}: {} candidates < {} skyline vertices",
+        stats.candidate_count,
+        out.skyline.len()
+    );
+    // Refine tests each candidate against potential dominators —
+    // never more than candidates × (n − 1) ordered pairs.
+    let c = stats.candidate_count as u64;
+    assert!(
+        stats.pair_tests <= c * n.saturating_sub(1),
+        "{label}: {} pair tests exceed the candidate-pair bound",
+        stats.pair_tests
+    );
+    // Every bloom containment query resolves to exactly one of:
+    // hit, word-level reject, bit-level reject.
+    assert_eq!(
+        stats.bloom_queries,
+        stats.bloom_hits + stats.bf_word_rejects + stats.bf_bit_rejects,
+        "{label}: bloom accounting leak"
+    );
+
+    // The bulk flush must mirror the stats struct exactly.
+    for (counter, value) in [
+        (Counter::CandidatesEmitted, c),
+        (Counter::PairTests, stats.pair_tests),
+        (Counter::BloomQueries, stats.bloom_queries),
+        (Counter::BloomHits, stats.bloom_hits),
+        (Counter::BloomWordRejects, stats.bf_word_rejects),
+        (Counter::BloomBitRejects, stats.bf_bit_rejects),
+        (Counter::AdjacencyProbes, stats.adjacency_probes),
+        (Counter::PeakBytes, stats.peak_bytes as u64),
+    ] {
+        assert_eq!(rec.value(counter), value, "{label}: {counter:?}");
+    }
+}
+
 #[test]
 fn skyline_counters_satisfy_the_accounting_identities() {
     for (label, g) in sweep() {
@@ -107,61 +151,26 @@ fn skyline_counters_satisfy_the_accounting_identities() {
             &mut ExecutionContext::new().recorder(&rec),
         )
         .outcome;
-        assert_eq!(out.completion, Completion::Complete, "{label}");
-        let stats = &out.stats;
+        assert_skyline_accounting(&label, n, &out, &rec);
 
-        // The filter phase may only over-approximate the skyline.
-        assert!(
-            stats.candidate_count >= out.skyline.len(),
-            "{label}: {} candidates < {} skyline vertices",
-            stats.candidate_count,
-            out.skyline.len()
-        );
-        // Refine tests each candidate against potential dominators —
-        // never more than candidates × (n − 1) ordered pairs.
-        let c = stats.candidate_count as u64;
-        assert!(
-            stats.pair_tests <= c * n.saturating_sub(1),
-            "{label}: {} pair tests exceed the candidate-pair bound",
-            stats.pair_tests
-        );
-        // Every bloom containment query resolves to exactly one of:
-        // hit, word-level reject, bit-level reject.
-        assert_eq!(
-            stats.bloom_queries,
-            stats.bloom_hits + stats.bf_word_rejects + stats.bf_bit_rejects,
-            "{label}: bloom accounting leak"
-        );
-
-        // The bulk flush must mirror the stats struct exactly.
-        assert_eq!(rec.value(Counter::CandidatesEmitted), c, "{label}");
-        assert_eq!(rec.value(Counter::PairTests), stats.pair_tests, "{label}");
-        assert_eq!(
-            rec.value(Counter::BloomQueries),
-            stats.bloom_queries,
-            "{label}"
-        );
-        assert_eq!(rec.value(Counter::BloomHits), stats.bloom_hits, "{label}");
-        assert_eq!(
-            rec.value(Counter::BloomWordRejects),
-            stats.bf_word_rejects,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::BloomBitRejects),
-            stats.bf_bit_rejects,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::AdjacencyProbes),
-            stats.adjacency_probes,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::PeakBytes),
-            stats.peak_bytes as u64,
-            "{label}"
-        );
+        // The parallel kernel counts refine work per worker and sums it
+        // after the join, so the same identities hold for its flush, and
+        // it tests pairs wherever the sequential run does.
+        let par_rec = CountingRecorder::new();
+        let par = filter_refine_sky_par_with(
+            &g,
+            &RefineConfig::default(),
+            2,
+            &mut ExecutionContext::new().recorder(&par_rec),
+        )
+        .outcome;
+        assert_skyline_accounting(&format!("{label} (par)"), n, &par, &par_rec);
+        if out.stats.pair_tests > 0 {
+            assert!(
+                par.stats.pair_tests > 0,
+                "{label}: the parallel refine counted no pair tests"
+            );
+        }
 
         // An unlimited-budget run closes all three phases, in order.
         let phases = rec.phases();
